@@ -240,6 +240,38 @@ fn main() {
     });
     report("det: horizon advance + wakeup round trip", wakeup);
 
+    // A real gate round trip across host threads: 32 procs on 2 workers,
+    // each alternating short local segments with gates, so every gate pays
+    // the park, the grant hand-off to the next proc, and its share of the
+    // windows that readmit the parked set. This is the per-gate cost behind
+    // a det run's scheduler share of host time.
+    const GATE_PROCS: usize = 32;
+    const GATES_PER_PROC: u64 = 200;
+    let gate_run = bench(rounds, 1, || {
+        let sched = Arc::new(DetScheduler::new(GATE_PROCS, 2, 50_000));
+        std::thread::scope(|s| {
+            for p in 0..GATE_PROCS {
+                let h = sched.handle(p);
+                s.spawn(move || {
+                    h.start();
+                    let mut vt = p as u64;
+                    for _ in 0..GATES_PER_PROC {
+                        vt += 1_000;
+                        h.checkpoint(vt);
+                        h.gate_enter(vt);
+                        vt += 100;
+                        h.gate_exit(vt);
+                    }
+                    h.finish();
+                });
+            }
+        });
+    });
+    report(
+        "det: gate round trip (32 procs, 2 workers)",
+        gate_run / (GATE_PROCS as f64 * GATES_PER_PROC as f64),
+    );
+
     // --- workload sampling ----------------------------------------------
     // The service-trace generator's per-op path (DESIGN.md §13): one
     // Zipfian CDF inversion plus the rank→slot map. Allocation-free after

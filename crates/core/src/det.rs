@@ -21,18 +21,20 @@
 //! [`Report`](crate::Report)s at any worker count — gated by
 //! `scripts/detpar.sh`.
 //!
-//! The scheduler is a monitor: one mutex + condvar for parked-state
-//! bookkeeping, plus the lock-free [`HorizonClock`] fast path consulted at
-//! every operation entry ([`DetHandle::checkpoint`]). Horizon-parked
-//! processors sleep through the `HorizonClock` wakeup protocol (the
-//! model-checked piece — see `model_scenarios::lookahead_wakeup`).
+//! The scheduler is a monitor with baton passing: one mutex + per-proc
+//! wake slots for parked-state bookkeeping, plus the lock-free
+//! [`HorizonClock`] fast path consulted at every operation entry
+//! ([`DetHandle::checkpoint`]). Every parked processor sleeps on its own
+//! slot, and each transition to `Running` (a window release, a release-queue
+//! admission, a gate grant) notifies exactly the processor it names, and
+//! only if that processor is actually asleep. Nobody else wakes.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cashmere_sim::{HorizonClock, Nanos};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// What a blocked processor is waiting on, keyed by carrier pool index.
 /// `unblock_all` with the same key re-arms every matching waiter as a
@@ -70,6 +72,9 @@ struct DetState {
     procs: Vec<PState>,
     /// Per-proc gate sequence numbers (third tie-break component).
     seq: Vec<u64>,
+    /// Per-proc "asleep in its wake slot and not yet notified". Set by the
+    /// sleeper before it waits, cleared by whoever notifies it.
+    waiting: Vec<bool>,
     /// Released processors that have not parked again (includes the granted
     /// one). All scheduling decisions happen at `runners == 0`.
     runners: usize,
@@ -78,18 +83,22 @@ struct DetState {
     /// Window-eligible processors awaiting a free worker slot, in
     /// deterministic `(vt, id)` order.
     release_queue: VecDeque<usize>,
+    /// `coordinate`'s window-building buffer, kept so opening a window
+    /// allocates nothing.
+    parked: Vec<(Nanos, usize)>,
     finished: usize,
+    /// Host-side wakeup accounting (never part of a `Report`): slot
+    /// notifications issued, and slot waits entered.
+    notifies: u64,
+    slot_waits: u64,
 }
 
 /// The conservative virtual-time scheduler for one run.
 pub struct DetScheduler {
     state: Mutex<DetState>,
-    /// Wakes stage-2 waits: admission grants and gate grants.
-    cv: Condvar,
-    /// Sleep channel for horizon-parked processors (stage 1). Separate from
-    /// `state` so sleepers hold no scheduler state while parked.
-    sleep: Mutex<()>,
-    sleep_cv: Condvar,
+    /// One wake slot per processor, paired with `state`: proc `p` sleeps
+    /// only on `slots[p]`, and only its own release or grant notifies it.
+    slots: Vec<Condvar>,
     horizon: HorizonClock,
     nprocs: usize,
     workers: usize,
@@ -108,14 +117,16 @@ impl DetScheduler {
             state: Mutex::new(DetState {
                 procs: vec![PState::Running; nprocs],
                 seq: vec![0; nprocs],
+                waiting: vec![false; nprocs],
                 runners: nprocs,
                 granted: None,
-                release_queue: VecDeque::new(),
+                release_queue: VecDeque::with_capacity(nprocs),
+                parked: Vec::with_capacity(nprocs),
                 finished: 0,
+                notifies: 0,
+                slot_waits: 0,
             }),
-            cv: Condvar::new(),
-            sleep: Mutex::new(()),
-            sleep_cv: Condvar::new(),
+            slots: (0..nprocs).map(|_| Condvar::new()).collect(),
             horizon: HorizonClock::new(quantum_ns),
             nprocs,
             workers: workers.max(1),
@@ -150,8 +161,7 @@ impl DetScheduler {
         debug_assert_ne!(st.granted, Some(me), "park inside a gate body");
         st.procs[me] = PState::Parked(vt);
         self.retire_runner(&mut st);
-        drop(st);
-        self.wait_released(me, vt);
+        self.wait_released(me, &mut st);
     }
 
     /// Parks `me` as a pending gate and blocks until the coordinator grants
@@ -173,8 +183,7 @@ impl DetScheduler {
         st.granted = None;
         st.procs[me] = PState::Parked(vt);
         self.retire_runner(&mut st);
-        drop(st);
-        self.wait_released(me, vt);
+        self.wait_released(me, &mut st);
     }
 
     /// From inside `me`'s gate: gives up the grant, blocks on `key`, and
@@ -227,7 +236,7 @@ impl DetScheduler {
             };
             st.procs[p] = PState::Running;
             st.runners += 1;
-            self.cv.notify_all();
+            self.wake(st, p);
         }
         if st.runners == 0 {
             self.coordinate(st);
@@ -252,30 +261,28 @@ impl DetScheduler {
             st.granted = Some(p);
             st.procs[p] = PState::Running;
             st.runners = 1;
-            self.cv.notify_all();
+            self.wake(st, p);
             return;
         }
 
         // 2. No gates pending: open the next window over the parked set.
-        let mut parked: Vec<(Nanos, usize)> = (0..self.nprocs)
-            .filter_map(|p| match st.procs[p] {
-                PState::Parked(vt) => Some((vt, p)),
-                _ => None,
-            })
-            .collect();
+        let mut parked = std::mem::take(&mut st.parked);
+        parked.clear();
+        parked.extend((0..self.nprocs).filter_map(|p| match st.procs[p] {
+            PState::Parked(vt) => Some((vt, p)),
+            _ => None,
+        }));
         if parked.is_empty() {
             if st.finished == self.nprocs {
-                self.cv.notify_all();
+                st.parked = parked;
                 return;
             }
             self.abort_deadlocked(st);
         }
         parked.sort_unstable();
         let min_vt = parked[0].0;
-        let mut advanced = false;
         if self.horizon.past(min_vt) {
             self.horizon.advance_past(min_vt);
-            advanced = true;
         }
         let end = self.horizon.end();
         for &(vt, p) in &parked {
@@ -286,66 +293,69 @@ impl DetScheduler {
             if st.runners < self.workers {
                 st.procs[p] = PState::Running;
                 st.runners += 1;
+                self.wake(st, p);
             } else {
                 st.release_queue.push_back(p);
             }
         }
         debug_assert!(st.runners > 0, "window covers no parked processor");
-        if advanced {
-            // Wake stage-1 sleepers under the sleep lock (the HorizonClock
-            // epoch already changed, so late sleepers re-check and return).
-            let _g = self.sleep.lock();
-            self.sleep_cv.notify_all();
-        }
-        self.cv.notify_all();
+        st.parked = parked;
     }
 
-    /// Blocks `me` until it is released into a window: first until the
-    /// horizon passes its parked vt (stage 1, the lock-free wakeup
-    /// protocol), then until the coordinator admits it (stage 2).
-    fn wait_released(&self, me: usize, vt: Nanos) {
-        self.horizon.wait_past(vt, |seen| {
-            let mut g = self.sleep.lock();
-            while self.horizon.sleep_epoch() == seen {
-                self.check_abort();
-                self.sleep_cv.wait(&mut g);
-            }
-        });
-        let mut st = self.state.lock();
+    /// Passes the baton to `p` (just made `Running` or granted): notifies
+    /// its wake slot if, and only if, `p` is asleep in it.
+    fn wake(&self, st: &mut DetState, p: usize) {
+        if st.waiting[p] {
+            st.waiting[p] = false;
+            st.notifies += 1;
+            self.slots[p].notify_one();
+        }
+    }
+
+    /// Blocks `me` (already recorded Parked, lock held) until the
+    /// coordinator or a release-queue refill makes it `Running`. The
+    /// coordinator releases only processors below the new window end, so
+    /// `Running` implies the horizon has passed `me`'s parked vt.
+    fn wait_released(&self, me: usize, st: &mut MutexGuard<'_, DetState>) {
         while st.procs[me] != PState::Running {
-            self.check_abort();
-            self.cv.wait(&mut st);
+            self.wait_slot(me, st);
         }
     }
 
     /// Blocks `me` (already recorded AtGate/Blocked, lock held) until the
     /// coordinator grants it the gate.
-    fn wait_granted(&self, me: usize, st: &mut parking_lot::MutexGuard<'_, DetState>) {
+    fn wait_granted(&self, me: usize, st: &mut MutexGuard<'_, DetState>) {
         while st.granted != Some(me) {
-            self.check_abort();
-            self.cv.wait(st);
+            self.wait_slot(me, st);
         }
         debug_assert_eq!(st.procs[me], PState::Running);
+    }
+
+    /// One wait on `me`'s own wake slot (callers loop on their condition).
+    fn wait_slot(&self, me: usize, st: &mut MutexGuard<'_, DetState>) {
+        self.check_abort();
+        st.waiting[me] = true;
+        st.slot_waits += 1;
+        self.slots[me].wait(st);
+        st.waiting[me] = false;
     }
 
     fn check_abort(&self) {
         assert!(
             !self.aborted.load(Ordering::SeqCst),
-            "deterministic scheduler aborted (deadlock detected by the coordinator)"
+            "deterministic scheduler deadlock: run aborted by the coordinator"
         );
     }
 
     /// No gate pending, nobody parked, not everyone finished: the remaining
     /// processors are blocked on carriers nobody will ever signal. Wake
-    /// every waiter into a panic (instead of hanging the run) and report
-    /// who waits on what.
+    /// every slot into a panic (instead of hanging the run) and report who
+    /// waits on what.
     fn abort_deadlocked(&self, st: &DetState) -> ! {
         self.aborted.store(true, Ordering::SeqCst);
-        {
-            let _g = self.sleep.lock();
-            self.sleep_cv.notify_all();
+        for slot in &self.slots {
+            slot.notify_one();
         }
-        self.cv.notify_all();
         let waiters: Vec<String> = (0..self.nprocs)
             .filter_map(|p| match st.procs[p] {
                 PState::Blocked(vt, key) => Some(format!("proc {p} blocked on {key:?} at vt {vt}")),
@@ -384,6 +394,18 @@ impl DetScheduler {
             })
             .min()
             .map(|(_, p, _)| p)
+    }
+
+    /// Host-side wakeup accounting so far: `(slot notifications issued,
+    /// slot waits entered)`. Baton passing notifies only a processor that
+    /// is asleep, once per wait, so the first never exceeds the second (the
+    /// deadlock abort's wake-everyone is not counted). Never part of a
+    /// `Report`.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn bench_wake_counts(&self) -> (u64, u64) {
+        let st = self.state.lock();
+        (st.notifies, st.slot_waits)
     }
 
     /// Seeds proc `p` as a pending gate at `(vt, seq)` for
@@ -567,5 +589,125 @@ mod tests {
         h.start();
         h.gate_enter(5);
         h.gate_block(5, WaitKey::Flag(0));
+    }
+
+    #[test]
+    fn single_proc_run_issues_no_notifications() {
+        // One proc is always the coordinator of its own windows and grants,
+        // so baton passing never has anyone asleep to notify.
+        let sched = Arc::new(DetScheduler::new(1, 1, 100));
+        let bodies: Vec<ProcBody> = vec![Box::new(|h: &DetHandle| {
+            let mut vt = 0;
+            for i in 0..2_000u64 {
+                vt += 37;
+                h.checkpoint(vt);
+                if i.is_multiple_of(3) {
+                    h.gate_enter(vt);
+                    vt += 11;
+                    h.gate_exit(vt);
+                }
+            }
+        })];
+        run_procs(&sched, bodies);
+        assert_eq!(sched.bench_wake_counts(), (0, 0));
+    }
+
+    #[test]
+    fn notifications_never_exceed_slot_waits() {
+        // 8 procs through windows, gates and a contended carrier lock: each
+        // wakeup targets one sleeper, so notifications are bounded by the
+        // slot waits entered. A broadcast wakeup would notify every slot
+        // per transition and blow through the bound.
+        for workers in [1, 2, 8] {
+            let sched = Arc::new(DetScheduler::new(8, workers, 100));
+            let held = Arc::new(Mutex::new(false));
+            let bodies: Vec<ProcBody> = (0..8)
+                .map(|p| {
+                    let held = Arc::clone(&held);
+                    Box::new(move |h: &DetHandle| {
+                        let mut vt = 0;
+                        for i in 0..100u64 {
+                            vt += 23 + p as u64;
+                            h.checkpoint(vt);
+                            if !(i + p as u64).is_multiple_of(4) {
+                                continue;
+                            }
+                            h.gate_enter(vt);
+                            loop {
+                                let mut s = held.lock();
+                                if !*s {
+                                    *s = true;
+                                    break;
+                                }
+                                drop(s);
+                                h.gate_block(vt, WaitKey::Lock(0));
+                            }
+                            h.gate_exit(vt);
+                            vt += 40;
+                            h.gate_enter(vt);
+                            *held.lock() = false;
+                            h.unblock_all(WaitKey::Lock(0));
+                            h.gate_exit(vt);
+                        }
+                    }) as Box<dyn FnOnce(&DetHandle) + Send>
+                })
+                .collect();
+            run_procs(&sched, bodies);
+            let (notifies, slot_waits) = sched.bench_wake_counts();
+            assert!(notifies > 0, "workers={workers}: no proc ever slept");
+            assert!(
+                notifies <= slot_waits,
+                "workers={workers}: {notifies} notifications for {slot_waits} slot waits"
+            );
+        }
+    }
+
+    #[test]
+    fn deadlock_wakes_sleeping_peers_into_the_abort() {
+        // Procs 0 and 1 block on a flag nobody sets and sleep in their own
+        // slots; proc 2 gates later, then finishes, and its finish is the
+        // coordinator step that finds nothing runnable. Every thread must
+        // panic with the deadlock diagnosis instead of hanging.
+        let sched = Arc::new(DetScheduler::new(3, 2, 100));
+        let outcomes: Vec<Result<(), String>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..3)
+                .map(|p| {
+                    let h = sched.handle(p);
+                    s.spawn(move || {
+                        h.start();
+                        if p < 2 {
+                            let vt = 5 + p as u64;
+                            h.gate_enter(vt);
+                            h.gate_block(vt, WaitKey::Flag(0));
+                            h.gate_exit(vt);
+                        } else {
+                            h.gate_enter(50);
+                            h.gate_exit(50);
+                        }
+                        h.finish();
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|j| {
+                    j.join().map_err(|e| {
+                        e.downcast_ref::<String>()
+                            .cloned()
+                            .or_else(|| e.downcast_ref::<&str>().map(|m| (*m).to_owned()))
+                            .unwrap_or_default()
+                    })
+                })
+                .collect()
+        });
+        for (p, outcome) in outcomes.iter().enumerate() {
+            let msg = outcome.as_ref().expect_err("proc should have panicked");
+            assert!(
+                msg.contains("deterministic scheduler deadlock"),
+                "proc {p} panicked with {msg:?}"
+            );
+        }
+        let (_, slot_waits) = sched.bench_wake_counts();
+        assert!(slot_waits >= 2, "the blocked procs never slept");
     }
 }

@@ -330,7 +330,8 @@ pub fn sparse_directory_read_vs_update(words: u16, max_reads: usize, mutant: boo
     }
 }
 
-/// The deterministic scheduler's parked-processor wakeup (DESIGN.md §15):
+/// The lookahead horizon's sleep-epoch wakeup (DESIGN.md §15.4; the
+/// scheduler itself now sleeps parked processors in per-proc wake slots):
 /// a waiter sleeps on the lookahead horizon while the coordinator advances
 /// it past the waiter's virtual time. The seqlock protocol — horizon store
 /// first, epoch bump second — guarantees the waiter either re-reads the new
@@ -349,8 +350,8 @@ pub fn lookahead_wakeup(mutant: bool) {
         let done = Arc::clone(&done);
         thread::spawn(move || {
             // The sleep closure blocks until the epoch moves off `seen`,
-            // exactly like the scheduler's condvar wait (which is banned
-            // under exploration) — a yielding spin the explorer can
+            // like a condvar wait would (condvars are banned under
+            // exploration) — a yielding spin the explorer can
             // preempt. Once `done` is up no advance is coming, so an
             // unchanged epoch at that point is a lost wakeup, not a race
             // still in flight. `done` is read *before* the epoch so the

@@ -8,20 +8,32 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use cashmere_core::{Cluster, ClusterConfig, ProtocolKind, Topology};
 use cashmere_sim::ProcId;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per-thread, so a sibling test
+    /// running concurrently in the same binary cannot bump the count under
+    /// test. `const`-initialised with a drop-free type, so touching it from
+    /// inside the allocator never allocates or re-enters.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // relaxed-ok: allocation counter; the single-threaded test reads it
-        // on the same thread that increments it.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,8 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // relaxed-ok: allocation counter (see alloc above).
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -52,8 +63,7 @@ fn assert_hot_path_allocation_free(obs: bool) {
     for page in 0..4 {
         engine.write_word(&mut ctx, page * 512, 1);
     }
-    // relaxed-ok: same-thread counter reads around a single-threaded loop.
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for round in 0..100u64 {
         for page in 0..4 {
             let addr = page * 512 + (round as usize % 64);
@@ -61,8 +71,7 @@ fn assert_hot_path_allocation_free(obs: bool) {
             engine.write_word(&mut ctx, addr, v + 1);
         }
     }
-    // relaxed-ok: same-thread counter read (see above).
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let delta = allocs() - before;
     assert_eq!(delta, 0, "hot path allocated {delta} times with obs={obs}");
 }
 

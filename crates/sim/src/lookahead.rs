@@ -6,7 +6,9 @@
 //! scheduler (`cashmere-core`'s `det` module) opens execution windows by
 //! advancing the horizon one quantum at a time; simulated processors consult
 //! it lock-free on every operation entry and park once their virtual time
-//! reaches the window end.
+//! reaches the window end. The scheduler itself sleeps parked processors in
+//! per-proc wake slots under its own lock; the sleep-epoch protocol below is
+//! for waiters that hold no such lock, and stays model-checked.
 //!
 //! # The wakeup protocol
 //!
@@ -125,8 +127,8 @@ impl HorizonClock {
     ///
     /// `sleep(epoch)` must block until [`sleep_epoch`](Self::sleep_epoch)
     /// differs from `epoch` (spurious returns are fine — the loop
-    /// re-checks). The scheduler passes a condvar wait; the model scenario
-    /// passes a yielding spin.
+    /// re-checks), e.g. a condvar wait; the model scenario passes a
+    /// yielding spin.
     pub fn wait_past(&self, vt: Nanos, mut sleep: impl FnMut(u64)) {
         loop {
             if !self.past(vt) {

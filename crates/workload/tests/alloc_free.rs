@@ -5,19 +5,31 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use cashmere_workload::{KeyMap, Sampler, XorShift, Zipf};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per-thread, so a sibling test
+    /// running concurrently in the same binary cannot bump the count under
+    /// test. `const`-initialised with a drop-free type, so touching it from
+    /// inside the allocator never allocates or re-enters.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // relaxed-ok: allocation counter; the single-threaded test reads it
-        // on the same thread that increments it.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -26,8 +38,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // relaxed-ok: allocation counter (see alloc above).
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -43,13 +54,12 @@ fn sample_path_is_allocation_free_after_setup() {
     // Warm once (nothing to warm, but keep the shape symmetric with the
     // engine's alloc-free test).
     let mut sink = u64::from(sampler.sample_key());
-    // relaxed-ok: same-thread counter reads around a single-threaded loop.
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..10_000 {
         sink = sink.wrapping_add(u64::from(sampler.sample_key()));
         sink = sink.wrapping_add(zipf.invert(rng.unit_f64()) as u64);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(after - before, 0, "sample path allocated");
     assert_ne!(sink, 0, "keep the loop observable");
 }

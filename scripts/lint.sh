@@ -30,12 +30,10 @@ crates/core/src/engine.rs
 crates/core/src/mc_lock.rs
 crates/core/src/trace.rs
 crates/core/src/write_notice.rs
-crates/core/tests/alloc_free.rs
 crates/faults/src/lib.rs
 crates/obs/src/metrics.rs
 crates/sim/src/stats.rs
 crates/vmpage/src/lib.rs
-crates/workload/tests/alloc_free.rs
 "
 
 relaxed_files="$(grep -rl --include='*.rs' 'Ordering::Relaxed' crates | sort || true)"
