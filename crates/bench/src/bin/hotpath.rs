@@ -1,15 +1,23 @@
 //! Host-side hot-path microbenchmarks (`cargo run --release -p
 //! cashmere-bench --bin hotpath`).
 //!
-//! Times the three paths the PR-5 allocation/contention pass optimized, in
-//! isolation, so future changes can see them without a full sweep:
+//! The repository's one microbenchmark harness: times the protocol's host
+//! hot paths in isolation, so changes can see them without a full sweep —
+//! the reproduction's counterpart to the paper's §3.1 basic-operation
+//! costs (virtual-time costs are model constants; these rows are the
+//! simulator's own mechanisms):
 //!
-//! * **twin acquire/release** — pooled ([`PagePool`]) versus a fresh
-//!   `Box::new` allocation per twin, including the snapshot copy;
+//! * **twins and diffs** — twin creation, pooled ([`PagePool`]) versus a
+//!   fresh `Box::new` allocation per twin, and the outgoing, flush-update
+//!   and two-way incoming diff kernels on a 10%-dirty page;
+//! * **shared access** — 256 reads + writes through the software access
+//!   check on a 1-proc cluster, and a 4-proc lock round trip;
 //! * **write-notice post/drain** — striped [`ProcNoticeList`] inserts and
 //!   drains, plus first-level [`NoticeBoard`] post/drain round trips;
 //! * **directory reads** — [`Directory::read_word`] through the cached
-//!   replica handles, and the `sharers` scan built on it.
+//!   replica handles, and the `sharers` scan built on it;
+//! * region lookups, transport dispatch, det-scheduler operations, and
+//!   workload sampling.
 //!
 //! Numbers are host nanoseconds per operation (median of
 //! `HOTPATH_ROUNDS` rounds, default 5). Virtual time is not involved:
@@ -21,9 +29,12 @@ use std::time::Instant;
 use cashmere_core::config::DirectoryMode;
 use cashmere_core::directory::{DirWord, Directory, PermBits};
 use cashmere_core::write_notice::{NoticeBoard, ProcNoticeList};
+use cashmere_core::{Cluster, ClusterConfig, ProtocolKind, Topology, PAGE_WORDS};
 use cashmere_memchan::TransportConfig;
 use cashmere_transport::{build_transport, Transport};
-use cashmere_vmpage::{make_twin, Frame, PagePool};
+use cashmere_vmpage::{
+    apply_incoming_diff, diff_against_twin, flush_update_twin, make_twin, Frame, PagePool,
+};
 use std::sync::Arc;
 
 /// Median ns/op over `rounds` timing rounds of `iters` calls each.
@@ -74,6 +85,68 @@ fn main() {
         pool.reuses(),
         pool.idle()
     );
+
+    // --- diff kernels ----------------------------------------------------
+    // A page with 10% of its words dirtied, scattered, against its twin.
+    let dirty = Frame::new();
+    let mut twin = make_twin(&dirty);
+    for i in (0..PAGE_WORDS).step_by(10) {
+        dirty.store(i, i as u64 + 1);
+    }
+    let outgoing = bench(rounds, 2_000, || {
+        black_box(diff_against_twin(&dirty, black_box(&twin)));
+    });
+    report("diff: outgoing diff (10% dirty)", outgoing);
+    let diff = diff_against_twin(&dirty, &twin);
+    let flush = bench(rounds, 2_000, || {
+        flush_update_twin(&mut twin, black_box(&diff));
+    });
+    report("diff: flush-update twin (10% dirty)", flush);
+    let mut incoming = [0u64; PAGE_WORDS];
+    dirty.snapshot(&mut incoming);
+    for i in (0..PAGE_WORDS).step_by(17) {
+        incoming[i] ^= 0xDEAD;
+    }
+    let two_way = bench(rounds, 2_000, || {
+        let mut t = make_twin(&dirty);
+        black_box(apply_incoming_diff(&dirty, &mut t, black_box(&incoming)));
+    });
+    report("diff: two-way incoming diff (incl. twin)", two_way);
+
+    // --- shared access through a cluster --------------------------------
+    // Steady-state access cost through the software check + frame path,
+    // including the per-run thread spawn amortized over 256 accesses.
+    let mut cluster = Cluster::new(
+        ClusterConfig::new(Topology::new(1, 1), ProtocolKind::TwoLevel).with_heap_pages(8),
+    );
+    let a = cluster.alloc_page_aligned(PAGE_WORDS);
+    let access = bench(rounds, 20, || {
+        cluster.run(|p| {
+            let mut x = 0u64;
+            for i in 0..256 {
+                x = x.wrapping_add(p.read_u64(a + (i % 64)));
+                p.write_u64(a + (i % 64), x);
+            }
+            black_box(x);
+        });
+    });
+    report("cluster: 256 reads+writes (1 proc, 1 run)", access);
+    let lock_cycle = bench(rounds, 5, || {
+        let cfg =
+            ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel).with_heap_pages(4);
+        let mut cluster = Cluster::new(cfg);
+        let w = cluster.alloc(1);
+        cluster.run(|p| {
+            for _ in 0..5 {
+                p.lock(0);
+                let v = p.read_u64(w);
+                p.write_u64(w, v + 1);
+                p.unlock(0);
+            }
+        });
+        black_box(cluster.read_u64(w));
+    });
+    report("cluster: lock cycles, 4 procs x 5 (1 run)", lock_cycle);
 
     // --- write-notice posting -------------------------------------------
     const PAGES: usize = 4096;

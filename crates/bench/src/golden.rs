@@ -1,9 +1,10 @@
-//! Deterministic virtual-time golden generation, shared by the `wallclock`
-//! drift gate and the `soak` fault-injection harness.
+//! Deterministic virtual-time goldens and the one drift reporter every
+//! gate phase shares.
 //!
-//! Parallel runs are *virtual-time nondeterministic* (OS thread scheduling
-//! perturbs `Resource` gap placement and lock grant order; see DESIGN.md),
-//! so the goldens pin virtual time with two fully deterministic probes:
+//! Parallel runs on the free engine are *virtual-time nondeterministic* (OS
+//! thread scheduling perturbs `Resource` gap placement and lock grant
+//! order; see DESIGN.md), so the goldens pin virtual time with two fully
+//! deterministic probes:
 //!
 //! * each application's sequential (1:1, uninstrumented) execution time and
 //!   checksum — cross-checked against the committed `results/table2.jsonl`;
@@ -13,14 +14,13 @@
 //!   recording every processor clock and protocol counter.
 //!
 //! Both probes accept an optional [`FaultPlan`], an audit switch, and an
-//! observability switch: the soak harness regenerates the goldens with an
-//! installed-but-empty plan (and the trace recorder on) to prove the
+//! observability switch: the `gate` soak phase regenerates the goldens with
+//! an installed-but-empty plan (and the trace recorder on) to prove the
 //! fault-injection interposition points are charge-free when no rule
-//! fires, and the `obsgate` harness regenerates them with observability on
-//! to prove the span/metrics hooks are too — the output must stay
+//! fires, and the obs phase regenerates them with observability on to
+//! prove the span/metrics hooks are too — the output must stay
 //! byte-identical to `results/vt_golden.jsonl` either way.
 
-use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -30,8 +30,12 @@ use cashmere_core::{
     Backend, ClusterConfig, Engine, FaultPlan, ProcId, ProtocolKind, SyncSpec, Topology,
     TraceEvent, PAGE_WORDS,
 };
+use cashmere_obs::json;
 
-use crate::{json_str, run_with, RunOpts};
+use crate::{run_with, JsonObj, RunOpts};
+
+/// The committed golden file every phase compares against.
+pub const GOLDEN_PATH: &str = "results/vt_golden.jsonl";
 
 /// One golden regeneration pass: the JSONL contents plus the per-probe
 /// traces (empty unless auditing was requested).
@@ -55,7 +59,6 @@ pub fn build_goldens(
     apps: &[Box<dyn Benchmark>],
     plan: Option<&Arc<FaultPlan>>,
     audit: bool,
-    verbose: bool,
     obs: bool,
 ) -> GoldenRun {
     let mut s = String::new();
@@ -78,57 +81,32 @@ pub fn build_goldens(
         );
         seq_secs.push((app.name(), out.report.exec_secs()));
         traces.push((format!("sequential {}", app.name()), trace));
-        let mut line = String::new();
-        line.push('{');
-        json_str(&mut line, "experiment", "vt_golden");
-        line.push(',');
-        json_str(&mut line, "kind", "sequential");
-        line.push(',');
-        json_str(&mut line, "app", app.name());
-        let _ = write!(
-            line,
-            ",\"exec_ns\":{},\"checksum\":{}}}",
-            out.report.exec_ns, out.checksum
-        );
-        if verbose {
-            println!(
-                "vt_golden seq    {:8} exec_ns={}",
-                app.name(),
-                out.report.exec_ns
-            );
-        }
+        let line = JsonObj::new()
+            .str("experiment", "vt_golden")
+            .str("kind", "sequential")
+            .str("app", app.name())
+            .lit("exec_ns", out.report.exec_ns)
+            .lit("checksum", out.checksum)
+            .finish();
         s.push_str(&line);
         s.push('\n');
     }
     for p in ProtocolKind::PAPER_FOUR {
-        let (clocks, counters, trace) = replay(p, plan.cloned(), audit, obs);
+        let (clocks, counters, trace) =
+            replay(Backend::MemoryChannel, p, plan.cloned(), audit, obs);
         traces.push((format!("replay {}", p.label()), trace));
         let total: u64 = clocks.iter().sum();
-        let mut line = String::new();
-        line.push('{');
-        json_str(&mut line, "experiment", "vt_golden");
-        line.push(',');
-        json_str(&mut line, "kind", "replay");
-        line.push(',');
-        json_str(&mut line, "protocol", p.label());
-        let _ = write!(line, ",\"total_ns\":{total},\"clock_ns\":[");
-        for (i, c) in clocks.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "{c}");
-        }
-        line.push_str("],\"counters\":{");
-        for (i, (k, v)) in counters.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "\"{k}\":{v}");
-        }
-        line.push_str("}}");
-        if verbose {
-            println!("vt_golden replay {:4} total_ns={total}", p.label());
-        }
+        let counters = counters
+            .iter()
+            .fold(JsonObj::new(), |o, (k, v)| o.lit(k, v));
+        let line = JsonObj::new()
+            .str("experiment", "vt_golden")
+            .str("kind", "replay")
+            .str("protocol", p.label())
+            .lit("total_ns", total)
+            .arr("clock_ns", clocks.iter().map(u64::to_string))
+            .obj("counters", counters)
+            .finish();
         s.push_str(&line);
         s.push('\n');
     }
@@ -136,6 +114,59 @@ pub fn build_goldens(
         jsonl: s,
         seq_secs,
         traces,
+    }
+}
+
+/// Reads the committed [`GOLDEN_PATH`] (`None` when it is missing).
+#[must_use]
+pub fn committed() -> Option<String> {
+    std::fs::read_to_string(GOLDEN_PATH).ok()
+}
+
+/// Compares a regenerated golden text with the committed one and reports
+/// the verdict under `label`: one failure for any drift (each drifting
+/// line is printed with its number) and one for a missing committed file.
+/// Returns the failure count (0 or 1).
+pub fn compare(label: &str, committed: Option<&str>, regenerated: &str) -> usize {
+    let Some(committed) = committed else {
+        eprintln!("{label}: committed goldens missing — nothing to compare against");
+        return 1;
+    };
+    let lines = drift(committed, regenerated);
+    if lines.is_empty() {
+        println!(
+            "{label}: OK ({} lines, byte-identical)",
+            regenerated.lines().count()
+        );
+        return 0;
+    }
+    eprintln!("{label}: DRIFT on {} line(s)", lines.len());
+    for n in lines {
+        let line = |text: &str| text.lines().nth(n - 1).unwrap_or("<missing>").to_string();
+        eprintln!(
+            "  line {n}:\n    committed:   {}\n    regenerated: {}",
+            line(committed),
+            line(regenerated)
+        );
+    }
+    1
+}
+
+/// The 1-based line numbers on which two texts differ (a line present in
+/// only one of them counts), or a trailing-newline mismatch on the last.
+fn drift(committed: &str, regenerated: &str) -> Vec<usize> {
+    if committed == regenerated {
+        return Vec::new();
+    }
+    let (old, new): (Vec<_>, Vec<_>) = (committed.lines().collect(), regenerated.lines().collect());
+    let lines: Vec<usize> = (0..old.len().max(new.len()))
+        .filter(|&i| old.get(i) != new.get(i))
+        .map(|i| i + 1)
+        .collect();
+    if lines.is_empty() {
+        vec![old.len().max(1)]
+    } else {
+        lines
     }
 }
 
@@ -148,14 +179,20 @@ pub fn check_table2(seq_secs: &[(&'static str, f64)]) -> usize {
         eprintln!("[no {} — sequential cross-check skipped]", path.display());
         return 0;
     };
+    let rows: Vec<json::Value> = committed
+        .lines()
+        .filter_map(|l| json::parse(l).ok())
+        .collect();
     let mut failures = 0;
     for &(name, got) in seq_secs {
-        let Some(line) = committed.lines().find(|l| {
-            l.contains(&format!("\"app\":\"{name}\"")) && l.contains("\"config\":\"1:1\"")
-        }) else {
-            continue;
-        };
-        let Some(want) = field_f64(line, "exec_secs") else {
+        let Some(want) = rows
+            .iter()
+            .find(|r| {
+                r.get("app").and_then(json::Value::as_str) == Some(name)
+                    && r.get("config").and_then(json::Value::as_str) == Some("1:1")
+            })
+            .and_then(|r| r.get("exec_secs")?.as_f64())
+        else {
             continue;
         };
         if got.to_bits() == want.to_bits() {
@@ -166,16 +203,6 @@ pub fn check_table2(seq_secs: &[(&'static str, f64)]) -> usize {
         }
     }
     failures
-}
-
-/// Extracts a numeric field from one JSONL line (hand-rolled: no external
-/// deps in this container).
-pub fn field_f64(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].parse().ok()
 }
 
 /// Scripted single-threaded protocol replay: 2 nodes × 2 processors, driven
@@ -189,24 +216,13 @@ pub fn field_f64(line: &str, key: &str) -> Option<f64> {
 /// `[512, 960)`), keeping the script data-race-free at word granularity —
 /// the protocols' programming model — while still exercising two-way
 /// diffing, shootdown, and run-shaped diffs.
+///
+/// The script is deterministic on every interconnect backend (DESIGN.md
+/// §14), so the `gate` xbackend phase uses its clocks and counters as
+/// per-backend cost fingerprints; [`Backend::MemoryChannel`] leaves the
+/// config untouched (the committed goldens' bytes).
 #[allow(clippy::type_complexity)]
 pub fn replay(
-    protocol: ProtocolKind,
-    plan: Option<Arc<FaultPlan>>,
-    audit: bool,
-    obs: bool,
-) -> (Vec<u64>, Vec<(&'static str, u64)>, Vec<TraceEvent>) {
-    replay_on(Backend::MemoryChannel, protocol, plan, audit, obs)
-}
-
-/// [`replay`] on an explicit interconnect backend (DESIGN.md §14). The
-/// script is fully deterministic on every backend, so the clocks and
-/// counters it returns are exact per-backend cost fingerprints — the
-/// `xbackend` harness uses them to prove direct-read backends issue fewer
-/// request/reply round trips than the Memory Channel. `MemoryChannel`
-/// leaves the config untouched (same bytes as the committed goldens).
-#[allow(clippy::type_complexity)]
-pub fn replay_on(
     backend: Backend,
     protocol: ProtocolKind,
     plan: Option<Arc<FaultPlan>>,
@@ -327,5 +343,29 @@ fn write_pattern(page: usize) -> Vec<usize> {
         4 => (0..440).collect(),
         // Single word.
         _ => vec![5],
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn compare_passes_identical_text() {
+        assert!(drift("a\nb\n", "a\nb\n").is_empty());
+        assert_eq!(compare("same", Some("a\nb\n"), "a\nb\n"), 0);
+    }
+
+    #[test]
+    fn compare_counts_one_failure_and_names_the_drifting_line() {
+        assert_eq!(drift("a\nb\nc\n", "a\nX\nc\n"), vec![2]);
+        assert_eq!(compare("one-line", Some("a\nb\nc\n"), "a\nX\nc\n"), 1);
+        // A line present on one side only is drift too.
+        assert_eq!(drift("a\nb\n", "a\n"), vec![2]);
+    }
+
+    #[test]
+    fn compare_fails_when_the_committed_file_is_missing() {
+        assert_eq!(compare("missing", None, "a\n"), 1);
     }
 }

@@ -12,12 +12,16 @@
 //! | `fig7`      | Figure 7 — speedups across cluster configurations |
 //! | `shootdown` | §3.3.4 — shootdown vs two-way diffing, polling vs interrupts |
 //! | `lockfree`  | §3.3.5 — lock-free vs global-lock protocol structures |
+//! | `validate`  | every paper-shape verdict of EXPERIMENTS.md, asserted |
 //!
-//! Each binary prints a human-readable table and appends a machine-readable
-//! JSON record to `results/` (used to assemble EXPERIMENTS.md).
+//! Each binary prints a human-readable table and writes machine-readable
+//! JSON records to `results/` (used to assemble EXPERIMENTS.md). Two more
+//! binaries guard the artifacts and the host: `gate` (every `CHECK_*` stage
+//! of `scripts/check.sh`, one phase each, writing the `BENCH_*.json` files)
+//! and `hotpath` (the microbenchmark harness).
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
+use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -26,6 +30,7 @@ use cashmere_core::{
     Backend, DirectoryMode, FaultPlan, Messaging, Nanos, ProtocolKind, RunSpec, Topology,
     TraceEvent,
 };
+use cashmere_obs::json::push_str_escaped;
 
 pub mod golden;
 pub mod obsout;
@@ -72,15 +77,6 @@ pub struct RunOpts {
     /// under (the det engine reproduces them byte-for-byte; the `detpar`
     /// gate asserts it).
     pub det_workers: Option<usize>,
-}
-
-/// Parses the value of a `--backend` flag shared by every driver binary
-/// (`mc`, `rdma`, or `cxl` — [`Backend::label`]); panics with the accepted
-/// set otherwise.
-pub fn parse_backend(value: Option<String>) -> Backend {
-    let v = value.unwrap_or_else(|| panic!("--backend requires one of mc, rdma, cxl"));
-    Backend::from_label(&v)
-        .unwrap_or_else(|| panic!("unknown backend {v:?} (supported: mc, rdma, cxl)"))
 }
 
 /// Runs `app` under `protocol` on a `total`:`per_node` configuration.
@@ -247,66 +243,124 @@ impl Record {
         }
     }
 
-    /// Serializes the record as one JSON object (no external deps — the
-    /// container has no registry access, so the encoder is hand-rolled).
+    /// Serializes the record as one JSON object.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push('{');
-        json_str(&mut s, "experiment", self.experiment);
-        s.push(',');
-        json_str(&mut s, "app", &self.app);
-        s.push(',');
-        json_str(&mut s, "protocol", &self.protocol);
-        s.push(',');
-        json_str(&mut s, "config", &self.config);
-        s.push(',');
-        json_f64(&mut s, "exec_secs", self.exec_secs);
-        s.push(',');
-        json_f64(&mut s, "speedup", self.speedup);
-        s.push(',');
-        json_key(&mut s, "counters");
-        s.push('{');
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            json_key(&mut s, k);
-            s.push_str(&v.to_string());
-        }
-        s.push_str("},");
-        json_key(&mut s, "breakdown");
-        s.push('{');
-        for (i, (k, v)) in self.breakdown.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            json_key(&mut s, k);
-            s.push_str(&fmt_json_f64(*v));
-        }
-        s.push_str("}}");
-        s
+        let counters = self
+            .counters
+            .iter()
+            .fold(JsonObj::new(), |o, (k, v)| o.lit(k, v));
+        let breakdown = self
+            .breakdown
+            .iter()
+            .fold(JsonObj::new(), |o, (k, v)| o.f64(k, *v));
+        JsonObj::new()
+            .str("experiment", self.experiment)
+            .str("app", &self.app)
+            .str("protocol", &self.protocol)
+            .str("config", &self.config)
+            .f64("exec_secs", self.exec_secs)
+            .f64("speedup", self.speedup)
+            .obj("counters", counters)
+            .obj("breakdown", breakdown)
+            .finish()
     }
 }
 
-/// Appends `"key":` with the key JSON-escaped.
-pub fn json_key(out: &mut String, key: &str) {
-    out.push('"');
-    json_escape_into(out, key);
-    out.push_str("\":");
+/// The one JSON object writer behind every `results/*.jsonl` row and
+/// `BENCH_*.json` file. Keys are written in call order and escaped through
+/// [`cashmere_obs::json::push_str_escaped`]; integers print as integers and
+/// floats through [`fmt_json_f64`].
+pub struct JsonObj(String);
+
+impl Default for JsonObj {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
-/// Appends `"key":"value"` with both sides JSON-escaped.
-pub fn json_str(out: &mut String, key: &str, value: &str) {
-    json_key(out, key);
-    out.push('"');
-    json_escape_into(out, value);
-    out.push('"');
-}
+impl JsonObj {
+    /// An empty object.
+    #[must_use]
+    pub fn new() -> Self {
+        Self(String::from("{"))
+    }
 
-/// Appends `"key":<number>`.
-pub fn json_f64(out: &mut String, key: &str, value: f64) {
-    json_key(out, key);
-    out.push_str(&fmt_json_f64(value));
+    fn key(mut self, key: &str) -> Self {
+        if self.0.len() > 1 {
+            self.0.push(',');
+        }
+        push_str_escaped(&mut self.0, key);
+        self.0.push(':');
+        self
+    }
+
+    /// Adds a string field.
+    #[must_use]
+    pub fn str(self, key: &str, value: &str) -> Self {
+        let mut o = self.key(key);
+        push_str_escaped(&mut o.0, value);
+        o
+    }
+
+    /// Adds a literal: any value whose `Display` is a JSON number or bool
+    /// (integers, bools, or a preformatted number).
+    #[must_use]
+    pub fn lit(self, key: &str, value: impl std::fmt::Display) -> Self {
+        let mut o = self.key(key);
+        let _ = write!(o.0, "{value}");
+        o
+    }
+
+    /// Adds a float field.
+    #[must_use]
+    pub fn f64(self, key: &str, value: f64) -> Self {
+        let mut o = self.key(key);
+        o.0.push_str(&fmt_json_f64(value));
+        o
+    }
+
+    /// Adds a nested object.
+    #[must_use]
+    pub fn obj(self, key: &str, value: JsonObj) -> Self {
+        let mut o = self.key(key);
+        o.0.push_str(&value.finish());
+        o
+    }
+
+    /// Adds an array of already-serialized JSON values.
+    #[must_use]
+    pub fn arr<S: AsRef<str>>(self, key: &str, items: impl IntoIterator<Item = S>) -> Self {
+        let mut o = self.key(key);
+        o.0.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                o.0.push(',');
+            }
+            o.0.push_str(item.as_ref());
+        }
+        o.0.push(']');
+        o
+    }
+
+    /// Adds an array of strings.
+    #[must_use]
+    pub fn strs<S: AsRef<str>>(self, key: &str, items: impl IntoIterator<Item = S>) -> Self {
+        self.arr(
+            key,
+            items.into_iter().map(|s| {
+                let mut q = String::new();
+                push_str_escaped(&mut q, s.as_ref());
+                q
+            }),
+        )
+    }
+
+    /// Closes the object and returns its text.
+    #[must_use]
+    pub fn finish(mut self) -> String {
+        self.0.push('}');
+        self.0
+    }
 }
 
 /// Formats an f64 as a JSON number (JSON has no NaN/Infinity; map to 0).
@@ -319,32 +373,17 @@ pub fn fmt_json_f64(v: f64) -> String {
     }
 }
 
-/// Escapes a string per RFC 8259 minimal rules.
-fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Appends records as JSON lines to `results/<experiment>.jsonl`.
 pub fn save_records(experiment: &str, records: &[Record]) {
     let dir = Path::new("results");
     std::fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join(format!("{experiment}.jsonl"));
-    let mut f = std::fs::File::create(&path).expect("create results file");
+    let mut out = String::new();
     for r in records {
-        writeln!(f, "{}", r.to_json()).expect("write record");
+        out.push_str(&r.to_json());
+        out.push('\n');
     }
+    std::fs::write(&path, out).expect("write results file");
     eprintln!("[saved {} records to {}]", records.len(), path.display());
 }
 
@@ -414,9 +453,15 @@ mod tests {
 
     #[test]
     fn json_escaping_and_nonfinite_floats() {
-        let mut s = String::new();
-        json_str(&mut s, "k", "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"k\":\"a\\\"b\\\\c\\nd\\u0001\"");
+        let s = JsonObj::new().str("k", "a\"b\\c\nd\u{1}").finish();
+        assert_eq!(s, "{\"k\":\"a\\\"b\\\\c\\nd\\u0001\"}");
+        let o = JsonObj::new()
+            .lit("n", 3)
+            .lit("b", true)
+            .obj("o", JsonObj::new())
+            .strs("s", ["x"])
+            .finish();
+        assert_eq!(o, "{\"n\":3,\"b\":true,\"o\":{},\"s\":[\"x\"]}");
         assert_eq!(fmt_json_f64(f64::NAN), "0.0");
         assert_eq!(fmt_json_f64(1.5), "1.5");
         assert_eq!(fmt_json_f64(2.0), "2.0");

@@ -1,54 +1,53 @@
 //! Observability exporters: the Figure-7 breakdown table
-//! (`results/fig7.{jsonl,txt}`), the per-page hot-page report (appended to
-//! the table), and the Chrome `trace_event` export
+//! (`results/fig7_breakdown.{jsonl,txt}`), the per-page hot-page report
+//! (appended to the table), and the Chrome `trace_event` export
 //! (`results/trace_<app>_<proto>.json`).
 //!
 //! All three consume sweep [`Cell`]s whose runs had [`crate::RunOpts::obs`]
 //! set; cells without an [`ObsReport`] are skipped. The JSONL rows carry
-//! raw virtual nanoseconds (the gate asserts their sum equals the run's
-//! total virtual time); the text table renders the same rows as
-//! percentages, the way the paper's Figure 7 stacks them.
+//! raw virtual nanoseconds under a nested `"fig7"` object (the category
+//! named `protocol` must not collide with the row's protocol label; the
+//! gate asserts the categories sum to the run's total virtual time); the
+//! text table renders the same rows as percentages, the way the paper's
+//! Figure 7 stacks them.
 
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use cashmere_obs::{chrome, Fig7Cat, ObsReport};
+use cashmere_obs::{chrome, Fig7Breakdown, Fig7Cat, ObsReport};
 
 use crate::sweep::Cell;
-use crate::{json_key, json_str};
+use crate::JsonObj;
+
+/// The five Figure-7 categories as a JSON object of virtual nanoseconds.
+#[must_use]
+pub fn fig7_obj(fig7: &Fig7Breakdown) -> JsonObj {
+    Fig7Cat::ALL
+        .into_iter()
+        .fold(JsonObj::new(), |o, c| o.lit(c.label(), fig7.get(c)))
+}
 
 /// Serializes one cell's Figure-7 row (`None` when the cell ran without
 /// observability).
 #[must_use]
 pub fn fig7_json(cell: &Cell, config: &str) -> Option<String> {
     let obs = cell.outcome.report.obs.as_ref()?;
-    let mut s = String::with_capacity(256);
-    s.push('{');
-    json_str(&mut s, "experiment", "fig7");
-    s.push(',');
-    json_str(&mut s, "app", &cell.app);
-    s.push(',');
-    json_str(&mut s, "protocol", cell.protocol.label());
-    s.push(',');
-    json_str(&mut s, "config", config);
+    let mut o = JsonObj::new()
+        .str("experiment", "fig7_breakdown")
+        .str("app", &cell.app)
+        .str("protocol", cell.protocol.label())
+        .str("config", config);
     if !cell.plan.is_empty() {
-        s.push(',');
-        json_str(&mut s, "plan", cell.plan);
+        o = o.str("plan", cell.plan);
     }
-    let _ = write!(s, ",\"procs\":{}", obs.procs);
-    for c in Fig7Cat::ALL {
-        s.push(',');
-        json_key(&mut s, c.label());
-        let _ = write!(s, "{}", obs.fig7.get(c));
-    }
-    let _ = write!(
-        s,
-        ",\"total_ns\":{},\"breakdown_total_ns\":{}}}",
-        obs.fig7.total(),
-        cell.outcome.report.breakdown.total()
-    );
-    Some(s)
+    Some(
+        o.lit("procs", obs.procs)
+            .obj("fig7", fig7_obj(&obs.fig7))
+            .lit("total_ns", obs.fig7.total())
+            .lit("breakdown_total_ns", cell.outcome.report.breakdown.total())
+            .finish(),
+    )
 }
 
 /// Renders the Figure-7 text table: one row per cell with the five
@@ -93,8 +92,10 @@ pub fn fig7_table(cells: &[Cell], config: &str) -> String {
     s
 }
 
-/// Writes `results/fig7.jsonl` and `results/fig7.txt` from the sweep's
-/// observability-enabled cells; returns the two paths and the row count.
+/// Writes `results/fig7_breakdown.jsonl` and `results/fig7_breakdown.txt`
+/// from the sweep's observability-enabled cells (`results/fig7.jsonl` is
+/// the `fig7` binary's speedup table); returns the two paths and the row
+/// count.
 pub fn write_fig7(cells: &[Cell], config: &str) -> io::Result<(PathBuf, PathBuf, usize)> {
     let dir = Path::new("results");
     std::fs::create_dir_all(dir)?;
@@ -107,9 +108,9 @@ pub fn write_fig7(cells: &[Cell], config: &str) -> io::Result<(PathBuf, PathBuf,
             rows += 1;
         }
     }
-    let jsonl_path = dir.join("fig7.jsonl");
+    let jsonl_path = dir.join("fig7_breakdown.jsonl");
     std::fs::write(&jsonl_path, jsonl)?;
-    let txt_path = dir.join("fig7.txt");
+    let txt_path = dir.join("fig7_breakdown.txt");
     std::fs::write(&txt_path, fig7_table(cells, config))?;
     Ok((jsonl_path, txt_path, rows))
 }
@@ -170,6 +171,7 @@ mod tests {
     use super::*;
     use cashmere_apps::{suite, Scale};
     use cashmere_core::ProtocolKind;
+    use cashmere_obs::json;
 
     use crate::sweep::{run_sweep, SweepSpec};
     use crate::RunOpts;
@@ -190,13 +192,40 @@ mod tests {
     fn fig7_json_carries_the_identity_and_table_renders() {
         let cells = obs_cells();
         let line = fig7_json(&cells[0], "4:2").expect("obs on");
-        assert!(line.contains("\"experiment\":\"fig7\""));
-        let total = crate::golden::field_f64(&line, "total_ns").expect("total_ns");
-        let breakdown = crate::golden::field_f64(&line, "breakdown_total_ns").expect("breakdown");
+        let row = json::parse(&line).expect("row parses");
+        assert_eq!(
+            row.get("experiment").and_then(json::Value::as_str),
+            Some("fig7_breakdown")
+        );
+        let total = row.get("total_ns").and_then(json::Value::as_u64);
+        let breakdown = row.get("breakdown_total_ns").and_then(json::Value::as_u64);
+        assert!(total.is_some());
         assert_eq!(total, breakdown, "Figure-7 identity in the exported row");
         let table = fig7_table(&cells, "4:2");
         assert!(table.contains("task"), "{table}");
         assert!(table.contains("Hot pages"), "{table}");
+    }
+
+    /// The row's protocol label and the `protocol` time category used to
+    /// share one key, so a reader saw the category's number as the label.
+    #[test]
+    fn fig7_row_keeps_the_protocol_label() {
+        let cells = obs_cells();
+        let row = json::parse(&fig7_json(&cells[0], "4:2").expect("obs on")).expect("parses");
+        assert_eq!(
+            row.get("protocol").and_then(json::Value::as_str),
+            Some("2L")
+        );
+        let fig7 = row.get("fig7").expect("nested categories");
+        let sum: u64 = Fig7Cat::ALL
+            .iter()
+            .map(|c| {
+                fig7.get(c.label())
+                    .and_then(json::Value::as_u64)
+                    .expect("category")
+            })
+            .sum();
+        assert_eq!(Some(sum), row.get("total_ns").and_then(json::Value::as_u64));
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The shared app × protocol × fault-plan sweep driver.
 //!
-//! `wallclock` and `soak` used to hand-roll the same triple-nested loop
-//! (applications, protocols, plans, with best-of-`reps` timing); both are
-//! now thin drivers over [`run_sweep`]. A sweep is described by a
-//! [`SweepSpec`]; every completed cell is delivered to the caller's
-//! callback as it finishes (for progress printing) and returned in
-//! deterministic iteration order — apps outermost, then protocols, then
-//! plans.
+//! Every `gate` phase that loops over applications, protocols and fault
+//! plans (with best-of-`reps` timing) is a thin loop over [`run_sweep`].
+//! A sweep is described by a [`SweepSpec`]; every completed cell is
+//! delivered to the caller's callback as it finishes (for progress
+//! printing) and returned in deterministic iteration order — apps
+//! outermost, then protocols, then plans. Matrices that are not
+//! app × protocol × plan (the scaling ladder) share the same bounded
+//! worker pool through [`run_ordered`].
 //!
 //! Fault plans are *rebuilt from the seed for every repetition*
 //! ([`SweepPlan::build`] is a constructor, not a shared plan): a
@@ -18,8 +19,8 @@
 //! (default: available parallelism; `1` restores the serial loop). Each
 //! cell's virtual-time result is deterministic regardless of host
 //! interleaving — the golden gates prove it byte-for-byte — so only
-//! wall-clock *measurement* needs serialization, which `wallclock` gets by
-//! pinning its timed phase to one job via [`run_sweep_with_jobs`]. The
+//! wall-clock *measurement* needs serialization, which the wallclock phase
+//! gets by pinning its timed sweep to one job via [`run_sweep_with_jobs`]. The
 //! callback still fires in deterministic iteration order (apps outermost,
 //! then protocols, then plans): finished cells are buffered and released
 //! only when every earlier cell has been delivered.
@@ -163,12 +164,12 @@ pub fn run_sweep(spec: &SweepSpec<'_>, on_cell: impl FnMut(&Cell)) -> Vec<Cell> 
 }
 
 /// [`run_sweep`] with an explicit worker count. `jobs <= 1` runs the exact
-/// sequential loop (used by `wallclock`'s timed phase so measured numbers
-/// never share the host with a sibling cell).
+/// sequential loop (used by the wallclock phase's timed sweep so measured
+/// numbers never share the host with a sibling cell).
 pub fn run_sweep_with_jobs(
     spec: &SweepSpec<'_>,
     jobs: usize,
-    mut on_cell: impl FnMut(&Cell),
+    on_cell: impl FnMut(&Cell),
 ) -> Vec<Cell> {
     let fault_free = [SweepPlan::NONE];
     let plans = if spec.plans.is_empty() {
@@ -189,59 +190,68 @@ pub fn run_sweep_with_jobs(
             })
         })
         .collect();
+    run_ordered(
+        &combos,
+        jobs,
+        |&(app, protocol, flavor)| run_cell(spec, app, protocol, flavor),
+        on_cell,
+    )
+}
 
-    if jobs <= 1 || combos.len() <= 1 {
-        let mut cells = Vec::with_capacity(combos.len());
-        for (app, protocol, flavor) in combos {
-            let cell = run_cell(spec, app, protocol, flavor);
-            on_cell(&cell);
-            cells.push(cell);
+/// Runs `work` on every item over up to `jobs` scoped host workers and
+/// returns the results in item order. `on_done` fires in item order too:
+/// finished results are buffered until every earlier one has been
+/// delivered. `jobs <= 1` runs the plain sequential loop.
+pub fn run_ordered<I: Sync, R: Send>(
+    items: &[I],
+    jobs: usize,
+    work: impl Fn(&I) -> R + Sync,
+    mut on_done: impl FnMut(&R),
+) -> Vec<R> {
+    if jobs <= 1 || items.len() <= 1 {
+        let mut out = Vec::with_capacity(items.len());
+        for item in items {
+            let r = work(item);
+            on_done(&r);
+            out.push(r);
         }
-        return cells;
+        return out;
     }
 
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, Cell)>();
-    let workers = jobs.min(combos.len());
-    let mut slots: Vec<Option<Cell>> = (0..combos.len()).map(|_| None).collect();
-    let mut cells = Vec::with_capacity(combos.len());
+    let (tx, rx) = mpsc::channel::<(usize, R)>();
+    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    let mut out = Vec::with_capacity(items.len());
     std::thread::scope(|s| {
-        for _ in 0..workers {
+        for _ in 0..jobs.min(items.len()) {
             let tx = tx.clone();
-            let next = &next;
-            let combos = &combos;
+            let (next, work) = (&next, &work);
             s.spawn(move || loop {
                 // relaxed-ok: work-stealing index; claims only need to be
                 // unique, which single-location RMW coherence guarantees,
                 // and results travel through the channel's own ordering.
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(app, protocol, flavor)) = combos.get(i) else {
+                let Some(item) = items.get(i) else {
                     break;
                 };
-                let cell = run_cell(spec, app, protocol, flavor);
-                if tx.send((i, cell)).is_err() {
+                if tx.send((i, work(item))).is_err() {
                     break;
                 }
             });
         }
         drop(tx);
-        // Release finished cells strictly in iteration order: buffer
+        // Release finished results strictly in item order: buffer
         // out-of-order completions until the prefix is contiguous.
-        let mut delivered = 0;
-        for (i, cell) in rx {
-            slots[i] = Some(cell);
-            while delivered < slots.len() {
-                let Some(cell) = slots[delivered].take() else {
-                    break;
-                };
-                on_cell(&cell);
-                cells.push(cell);
-                delivered += 1;
+        for (i, r) in rx {
+            slots[i] = Some(r);
+            while let Some(r) = slots.get_mut(out.len()).and_then(Option::take) {
+                on_done(&r);
+                out.push(r);
             }
         }
     });
-    assert_eq!(cells.len(), slots.len(), "every sweep cell must complete");
-    cells
+    assert_eq!(out.len(), slots.len(), "every item must complete");
+    out
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! released processors run their (purely local) segments, not what those
 //! segments compute. Hence the same config + seed produces byte-identical
 //! [`Report`](crate::Report)s at any worker count — gated by
-//! `scripts/detpar.sh`.
+//! the `gate detpar` phase (`CHECK_DETPAR=1 scripts/check.sh`).
 //!
 //! The scheduler is a monitor with baton passing: one mutex + per-proc
 //! wake slots for parked-state bookkeeping, plus the lock-free
