@@ -53,7 +53,7 @@ fn bench(rounds: usize, iters: usize, mut f: impl FnMut()) -> f64 {
 }
 
 fn report(name: &str, ns: f64) {
-    println!("{name:42} {ns:10.1} ns/op");
+    println!("{name:54} {ns:10.1} ns/op");
 }
 
 fn main() {
@@ -281,8 +281,8 @@ fn main() {
     // scan over pending gates, and the lookahead clock's advance + wakeup
     // round trip. The checkpoint row is the one on the engine hot path —
     // it must stay a single atomic load when the horizon is open.
-    use cashmere_core::det::DetScheduler;
-    use cashmere_sim::HorizonClock;
+    use cashmere_core::det::{DetScheduler, Settle, SettleExec};
+    use cashmere_sim::{HorizonClock, Nanos};
     let sched = Arc::new(DetScheduler::new(32, 8, 50_000));
     let mut hvt = 0u64;
     let horizon = bench(rounds, 50_000, || {
@@ -293,8 +293,15 @@ fn main() {
     });
     report("det: checkpoint horizon check", horizon);
 
+    // Half the pending entries are delegated settles, which the scan
+    // orders together with the gates.
     for p in 0..32 {
-        sched.bench_seed_gate(p, (p as u64 + 1) * 1_000, p as u64);
+        let vt = (p as u64 + 1) * 1_000;
+        if p % 2 == 0 {
+            sched.bench_seed_gate(p, vt, p as u64);
+        } else {
+            sched.bench_seed_settle(p, vt, p as u64);
+        }
     }
     let scan = bench(rounds, 50_000, || {
         black_box(sched.bench_grant_scan());
@@ -343,6 +350,45 @@ fn main() {
     report(
         "det: gate round trip (32 procs, 2 workers)",
         gate_run / (GATE_PROCS as f64 * GATES_PER_PROC as f64),
+    );
+
+    // The same loop with each gate replaced by a delegated settle: the
+    // proc parks with its request, the coordinator runs it in place and
+    // re-parks the proc, so a settle pays only its share of the windows.
+    struct BusSettle;
+    impl SettleExec for BusSettle {
+        fn run_settle(&self, _: Settle, vt: Nanos) -> Nanos {
+            vt + 100
+        }
+    }
+    let settle_run = bench(rounds, 1, || {
+        let sched = Arc::new(DetScheduler::new(GATE_PROCS, 2, 50_000));
+        sched.set_settle_exec(Arc::new(BusSettle));
+        std::thread::scope(|s| {
+            for p in 0..GATE_PROCS {
+                let h = sched.handle(p);
+                s.spawn(move || {
+                    h.start();
+                    let mut vt = p as u64;
+                    for _ in 0..GATES_PER_PROC {
+                        vt += 1_000;
+                        h.checkpoint(vt);
+                        vt = h.settle(
+                            vt,
+                            Settle::Bus {
+                                phys: 0,
+                                busy_ns: 100,
+                            },
+                        );
+                    }
+                    h.finish();
+                });
+            }
+        });
+    });
+    report(
+        "det: delegated settle round trip (32 procs, 2 workers)",
+        settle_run / (GATE_PROCS as f64 * GATES_PER_PROC as f64),
     );
 
     // --- workload sampling ----------------------------------------------

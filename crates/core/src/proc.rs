@@ -29,7 +29,7 @@ use cashmere_sim::{Nanos, ProcClock, ProcId, TimeCategory};
 use cashmere_vmpage::PAGE_WORDS;
 
 use crate::config::ClusterConfig;
-use crate::det::{DetScheduler, WaitKey};
+use crate::det::{DetScheduler, SettleExec, WaitKey};
 use crate::engine::{Engine, ProcCtx};
 use crate::report::Report;
 use crate::sync::{BarrierArrival, CarrierBarrier, CarrierFlag, CarrierLock};
@@ -193,6 +193,7 @@ impl Cluster {
     {
         let n = self.config().topology.total_procs();
         let sched = Arc::new(DetScheduler::new(n, workers, self.config().det_quantum_ns));
+        sched.set_settle_exec(Arc::clone(&self.engine) as Arc<dyn SettleExec>);
         let results: Vec<(ProcClock, Option<Box<ProcObs>>)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..n)
                 .map(|p| {

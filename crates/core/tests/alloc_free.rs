@@ -1,7 +1,9 @@
 //! Proves the engine's data-access hot path performs zero heap
 //! allocations — with observability off AND on. A counting global
 //! allocator wraps the system one; after warming the faults out of a
-//! working set, a burst of reads and writes must not allocate at all.
+//! working set, a burst of reads and writes must not allocate at all. The
+//! same holds for the deterministic scheduler's windows, gates and
+//! delegated settles, on every processor thread of a det run.
 //!
 //! The workspace denies `unsafe code`; this test is the one sanctioned
 //! exception, because a `GlobalAlloc` impl cannot be written without it.
@@ -10,8 +12,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use cashmere_core::{Cluster, ClusterConfig, ProtocolKind, Topology};
+use std::sync::Arc;
+
+use cashmere_core::det::{DetScheduler, Settle, SettleExec};
+use cashmere_core::{Cluster, ClusterConfig, Proc, ProtocolKind, SyncSpec, Topology};
+use cashmere_sim::Nanos;
 use cashmere_sim::ProcId;
+use parking_lot::Mutex;
 
 struct CountingAlloc;
 
@@ -83,4 +90,104 @@ fn hot_path_is_allocation_free_with_obs_off() {
 #[test]
 fn hot_path_is_allocation_free_with_obs_on() {
     assert_hot_path_allocation_free(true);
+}
+
+#[test]
+fn det_scheduler_windows_gates_and_settles_are_allocation_free() {
+    // 8 procs on 2 workers through the bare scheduler: every step crosses
+    // a 1 µs window, then runs a gate and a delegated settle. Each thread
+    // counts only its own allocations; the coordinator runs on whichever
+    // processor thread parks last, so a zero on every thread covers the
+    // coordinator's window building, grants and settles too.
+    struct Exec;
+    impl SettleExec for Exec {
+        fn run_settle(&self, _: Settle, vt: Nanos) -> Nanos {
+            vt + 40
+        }
+    }
+    const PROCS: usize = 8;
+    let sched = Arc::new(DetScheduler::new(PROCS, 2, 1_000));
+    sched.set_settle_exec(Arc::new(Exec));
+    let deltas = Mutex::new(Vec::with_capacity(PROCS));
+    std::thread::scope(|s| {
+        for p in 0..PROCS {
+            let h = sched.handle(p);
+            let deltas = &deltas;
+            s.spawn(move || {
+                h.start();
+                let mut vt = p as Nanos;
+                let mut before = 0;
+                for step in 0..600 {
+                    if step == 100 {
+                        before = allocs();
+                    }
+                    vt += 1_000;
+                    h.checkpoint(vt);
+                    h.gate_enter(vt);
+                    h.gate_exit(vt + 10);
+                    vt = h.settle(
+                        vt + 10,
+                        Settle::Bus {
+                            phys: 0,
+                            busy_ns: 40,
+                        },
+                    );
+                }
+                let delta = allocs() - before;
+                deltas.lock().push((p, delta));
+                h.finish();
+            });
+        }
+    });
+    assert_det_threads_allocation_free(deltas.into_inner(), PROCS);
+}
+
+#[test]
+fn det_run_windows_and_settles_are_allocation_free() {
+    // A whole det run, 4 procs on 2 workers, each on its own page: after
+    // the warm-up faults (and enough bus settles to grow the bus
+    // `Resource`'s interval list to its cap), compute crosses a 50 µs
+    // window every other step and every 64 accesses settle the bus
+    // through the engine's executor. The final barrier's acquire
+    // invalidates the pages, so one more unmeasured round re-faults them.
+    let cfg = ClusterConfig::new(Topology::new(2, 2), ProtocolKind::TwoLevel)
+        .with_heap_pages(8)
+        .with_sync(SyncSpec {
+            locks: 0,
+            barriers: 1,
+            flags: 0,
+        })
+        .with_det_parallel(2);
+    let mut cluster = Cluster::new(cfg);
+    let base = cluster.alloc_page_aligned(4 * 512);
+    let deltas = Mutex::new(Vec::with_capacity(4));
+    cluster.run(|p| {
+        let page = base + p.id() * 512;
+        let round = |p: &mut Proc| {
+            for i in 0..256 {
+                let v = p.read_u64(page + i % 64);
+                p.write_u64(page + i % 64, v + 1);
+                p.compute(25_000);
+            }
+        };
+        for _ in 0..24 {
+            round(p);
+        }
+        p.barrier(0);
+        round(p);
+        let before = allocs();
+        for _ in 0..4 {
+            round(p);
+        }
+        let delta = allocs() - before;
+        deltas.lock().push((p.id(), delta));
+    });
+    assert_det_threads_allocation_free(deltas.into_inner(), 4);
+}
+
+fn assert_det_threads_allocation_free(deltas: Vec<(usize, u64)>, procs: usize) {
+    assert_eq!(deltas.len(), procs);
+    for (id, delta) in deltas {
+        assert_eq!(delta, 0, "proc {id}'s thread allocated {delta} times");
+    }
 }
