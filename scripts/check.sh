@@ -6,6 +6,9 @@
 #            across every target (libs, bins, tests, benches, examples)
 #   test   — the full workspace suite; note `--workspace`: a bare
 #            `cargo test` at the root only tests the facade package
+#   repeat — opt-in (CHECK_REPEAT=n): the full workspace suite n more
+#            times, stopping at the first failing pass. A flaky test fails
+#            here; a lost wakeup in the det scheduler hangs here
 #   model  — opt-in (CHECK_MODEL=1): the concurrency lint (scripts/lint.sh:
 #            relaxed-ok tags, std-primitive bans, recovery no-panic scan)
 #            plus the bounded interleaving explorer over every model_* test
@@ -30,9 +33,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+repeat="${CHECK_REPEAT:-0}"
+if [[ ! "$repeat" =~ ^[0-9]+$ ]]; then
+    echo "CHECK_REPEAT must be a non-negative integer, got '$repeat'" >&2
+    exit 2
+fi
+
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo test --workspace --offline -q
+
+for ((pass = 1; pass <= repeat; pass++)); do
+    echo "repeat: workspace suite pass $pass/$repeat"
+    cargo test --workspace --offline -q
+done
 
 if [[ "${CHECK_MODEL:-0}" == "1" ]]; then
     scripts/lint.sh
