@@ -281,8 +281,9 @@ fn main() {
     // scan over pending gates, and the lookahead clock's advance + wakeup
     // round trip. The checkpoint row is the one on the engine hot path —
     // it must stay a single atomic load when the horizon is open.
-    use cashmere_core::det::{DetScheduler, Settle, SettleExec};
-    use cashmere_sim::{HorizonClock, Nanos};
+    use cashmere_core::det::{DetScheduler, GateEnd, Op, OpExec, OpState, Settle};
+    use cashmere_core::engine::ProcCtx;
+    use cashmere_sim::{HorizonClock, Nanos, ProcClock, ProcId, TimeCategory};
     let sched = Arc::new(DetScheduler::new(32, 8, 50_000));
     let mut hvt = 0u64;
     let horizon = bench(rounds, 50_000, || {
@@ -320,75 +321,76 @@ fn main() {
     });
     report("det: horizon advance + wakeup round trip", wakeup);
 
-    // A real gate round trip across host threads: 32 procs on 2 workers,
-    // each alternating short local segments with gates, so every gate pays
-    // the park, the grant hand-off to the next proc, and its share of the
-    // windows that readmit the parked set. This is the per-gate cost behind
-    // a det run's scheduler share of host time.
-    const GATE_PROCS: usize = 32;
-    const GATES_PER_PROC: u64 = 200;
-    let gate_run = bench(rounds, 1, || {
-        let sched = Arc::new(DetScheduler::new(GATE_PROCS, 2, 50_000));
-        std::thread::scope(|s| {
-            for p in 0..GATE_PROCS {
-                let h = sched.handle(p);
-                s.spawn(move || {
-                    h.start();
-                    let mut vt = p as u64;
-                    for _ in 0..GATES_PER_PROC {
-                        vt += 1_000;
-                        h.checkpoint(vt);
-                        h.gate_enter(vt);
-                        vt += 100;
-                        h.gate_exit(vt);
-                    }
-                    h.finish();
-                });
-            }
-        });
-    });
-    report(
-        "det: gate round trip (32 procs, 2 workers)",
-        gate_run / (GATE_PROCS as f64 * GATES_PER_PROC as f64),
-    );
-
-    // The same loop with each gate replaced by a delegated settle: the
-    // proc parks with its request, the coordinator runs it in place and
-    // re-parks the proc, so a settle pays only its share of the windows.
-    struct BusSettle;
-    impl SettleExec for BusSettle {
+    // Real op and settle round trips across host threads: 32 procs on 2
+    // workers, each alternating short local segments with a one-gate op
+    // (or a settle) that charges 100 ns. The coordinator runs each in
+    // place, on a lent context when the proc sleeps, so every op pays its
+    // park, its share of the windows that readmit the parked set, and at
+    // most one wake. This is the per-op cost behind a det run's scheduler
+    // share of host time.
+    struct Charge;
+    impl OpExec for Charge {
+        fn run_gate(&self, ctx: &mut ProcCtx, _: &mut OpState) -> GateEnd {
+            ctx.clock.charge(TimeCategory::Protocol, 100);
+            GateEnd::Done(None)
+        }
+        fn run_glue(&self, _: &mut ProcCtx, _: &mut OpState) {
+            unreachable!("a one-gate op has no glue")
+        }
         fn run_settle(&self, _: Settle, vt: Nanos) -> Nanos {
             vt + 100
         }
     }
-    let settle_run = bench(rounds, 1, || {
-        let sched = Arc::new(DetScheduler::new(GATE_PROCS, 2, 50_000));
-        sched.set_settle_exec(Arc::new(BusSettle));
-        std::thread::scope(|s| {
-            for p in 0..GATE_PROCS {
-                let h = sched.handle(p);
-                s.spawn(move || {
-                    h.start();
-                    let mut vt = p as u64;
-                    for _ in 0..GATES_PER_PROC {
-                        vt += 1_000;
-                        h.checkpoint(vt);
-                        vt = h.settle(
-                            vt,
-                            Settle::Bus {
-                                phys: 0,
-                                busy_ns: 100,
-                            },
-                        );
-                    }
-                    h.finish();
-                });
-            }
-        });
-    });
+    const OP_PROCS: usize = 32;
+    const OPS_PER_PROC: u64 = 200;
+    let op_cluster = Cluster::new(
+        ClusterConfig::new(Topology::new(8, 4), ProtocolKind::TwoLevel).with_heap_pages(1),
+    );
+    let mut ctxs: Vec<ProcCtx> = (0..OP_PROCS)
+        .map(|p| op_cluster.engine().make_ctx(ProcId(p)))
+        .collect();
+    let mut round_trip = |settle: bool| {
+        bench(rounds, 1, || {
+            let sched = Arc::new(DetScheduler::new(OP_PROCS, 2, 50_000));
+            sched.set_exec(Arc::new(Charge));
+            std::thread::scope(|s| {
+                for (p, ctx) in ctxs.iter_mut().enumerate() {
+                    let h = sched.handle(p);
+                    s.spawn(move || {
+                        ctx.clock = ProcClock::new();
+                        h.start();
+                        for _ in 0..OPS_PER_PROC {
+                            ctx.clock.charge(TimeCategory::User, 1_000 + p as u64);
+                            h.checkpoint(ctx.clock.now());
+                            if settle {
+                                let req = Settle::Bus {
+                                    phys: 0,
+                                    busy_ns: 100,
+                                };
+                                let done = h.settle(ctx.clock.now(), req);
+                                ctx.clock.wait_until(done);
+                            } else {
+                                let op = Op::Fault {
+                                    page: 0,
+                                    word: 0,
+                                    write: false,
+                                };
+                                h.run_op(ctx, op);
+                            }
+                        }
+                        h.finish();
+                    });
+                }
+            });
+        }) / (OP_PROCS as f64 * OPS_PER_PROC as f64)
+    };
+    report(
+        "det: in-place op round trip (32 procs, 2 workers)",
+        round_trip(false),
+    );
     report(
         "det: delegated settle round trip (32 procs, 2 workers)",
-        settle_run / (GATE_PROCS as f64 * GATES_PER_PROC as f64),
+        round_trip(true),
     );
 
     // --- workload sampling ----------------------------------------------

@@ -50,7 +50,7 @@ use cashmere_vmpage::{
 };
 
 use crate::config::{ClusterConfig, DirectoryMode};
-use crate::det::{DetHandle, Settle, SettleExec};
+use crate::det::{DetHandle, Op, Settle};
 use crate::directory::{DirWord, Directory, HomeInfo, PermBits};
 use crate::mc_lock::McLock;
 use crate::recovery::{RecoveryStats, RecoverySummary};
@@ -163,6 +163,45 @@ impl ProcCtx {
     /// [`crate::Cluster::run`] before the processor body starts).
     pub(crate) fn set_det(&mut self, handle: DetHandle) {
         self.det = Some(handle);
+    }
+
+    /// Runs `op` under the deterministic scheduler (DESIGN.md §15.2) and
+    /// returns true; returns false at once in the sequential engine, where
+    /// the caller runs the op itself. The handle is out of the context
+    /// while the op runs, so a gate body run on it can never re-enter the
+    /// scheduler.
+    pub(crate) fn det_op(&mut self, op: Op) -> bool {
+        let Some(d) = self.det.take() else {
+            return false;
+        };
+        d.run_op(self, op);
+        self.det = Some(d);
+        true
+    }
+
+    /// What the processor holds while its context is lent to the det
+    /// coordinator: this context's identity and page table, no page state.
+    /// Allocation-free.
+    pub(crate) fn placeholder(&self) -> Self {
+        Self {
+            id: self.id,
+            pnode: self.pnode,
+            local: self.local,
+            phys: self.phys,
+            clock: ProcClock::new(),
+            frames: Vec::new(),
+            dirty: Vec::new(),
+            acquire_ts: 0,
+            poll_fraction: self.poll_fraction,
+            bus_bytes: 0,
+            pt: Arc::clone(&self.pt),
+            poll_access_ns: 0,
+            excl_held: Vec::new(),
+            pending_bus: 0,
+            pending_double: 0,
+            obs: None,
+            det: None,
+        }
     }
 
     /// Lookahead checkpoint (DESIGN.md §15): parks this processor if its
@@ -1037,7 +1076,8 @@ impl Engine {
         chosen
     }
 
-    fn lock_cost(&self) -> Nanos {
+    /// The carrier-lock hand-off cost of this protocol.
+    pub(crate) fn lock_cost(&self) -> Nanos {
         if self.cfg.protocol.is_two_level() {
             self.cfg.cost.lock_two_level
         } else {
@@ -1082,17 +1122,19 @@ impl Engine {
     /// the directory, node-page state, the notice board, node clocks, the
     /// home lock, and the transport, all order-sensitive shared state.
     fn fault_common(&self, ctx: &mut ProcCtx, page: usize, word: usize, write: bool) {
-        match ctx.det.clone() {
-            Some(d) => {
-                d.gate_enter(ctx.clock.now());
-                self.fault_common_inner(ctx, page, word, write);
-                d.gate_exit(ctx.clock.now());
-            }
-            None => self.fault_common_inner(ctx, page, word, write),
+        if !ctx.det_op(Op::Fault { page, word, write }) {
+            self.fault_common_inner(ctx, page, word, write);
         }
     }
 
-    fn fault_common_inner(&self, ctx: &mut ProcCtx, page: usize, word: usize, write: bool) {
+    /// The fault handler body (the [`Op::Fault`] gate).
+    pub(crate) fn fault_common_inner(
+        &self,
+        ctx: &mut ProcCtx,
+        page: usize,
+        word: usize,
+        write: bool,
+    ) {
         ctx.obs_begin(SpanKind::Fault, page as i64);
         if let Some(o) = &mut ctx.obs {
             if write {
@@ -1843,17 +1885,14 @@ impl Engine {
     /// Under the deterministic scheduler the whole release is one
     /// exclusive gate (DESIGN.md §15).
     pub fn release_actions(&self, ctx: &mut ProcCtx) {
-        match ctx.det.clone() {
-            Some(d) => {
-                d.gate_enter(ctx.clock.now());
-                self.release_actions_inner(ctx);
-                d.gate_exit(ctx.clock.now());
-            }
-            None => self.release_actions_inner(ctx),
+        if !ctx.det_op(Op::Release) {
+            self.release_actions_inner(ctx);
         }
     }
 
-    fn release_actions_inner(&self, ctx: &mut ProcCtx) {
+    /// The release actions body (the gate of [`Op::Release`], and the
+    /// first gate of an unlock, barrier or flag set).
+    pub(crate) fn release_actions_inner(&self, ctx: &mut ProcCtx) {
         ctx.obs_begin(SpanKind::Release, -1);
         let release_begin = self.node_now(ctx.pnode);
         // relaxed-ok: `last_release` is monotonic bookkeeping that no
@@ -2050,17 +2089,14 @@ impl Engine {
     /// whose updates predate their notices. Under the deterministic
     /// scheduler the whole acquire is one exclusive gate (DESIGN.md §15).
     pub fn acquire_actions(&self, ctx: &mut ProcCtx) {
-        match ctx.det.clone() {
-            Some(d) => {
-                d.gate_enter(ctx.clock.now());
-                self.acquire_actions_inner(ctx);
-                d.gate_exit(ctx.clock.now());
-            }
-            None => self.acquire_actions_inner(ctx),
+        if !ctx.det_op(Op::Acquire) {
+            self.acquire_actions_inner(ctx);
         }
     }
 
-    fn acquire_actions_inner(&self, ctx: &mut ProcCtx) {
+    /// The acquire actions body (the gate of [`Op::Acquire`], and the last
+    /// gate of a lock, barrier or flag wait).
+    pub(crate) fn acquire_actions_inner(&self, ctx: &mut ProcCtx) {
         ctx.obs_begin(SpanKind::Acquire, -1);
         // Distribute the global bins to affected local processors. The
         // drain + distribute is serialized per node so a sibling's acquire
@@ -2252,11 +2288,11 @@ impl Engine {
     }
 }
 
-/// The settle bodies, shared by both engines: the free engine calls them
-/// inline, the deterministic coordinator runs them on a parked processor's
-/// behalf (DESIGN.md §15.2).
-impl SettleExec for Engine {
-    fn run_settle(&self, req: Settle, vt: Nanos) -> Nanos {
+impl Engine {
+    /// The settle bodies, shared by both engines: the free engine calls
+    /// them inline, the deterministic coordinator runs them on a parked
+    /// processor's behalf (DESIGN.md §15.2).
+    pub(crate) fn run_settle(&self, req: Settle, vt: Nanos) -> Nanos {
         match req {
             Settle::Bus { phys, busy_ns } => self.buses[phys].acquire(vt, busy_ns),
             Settle::Link { pnode, bytes } => {

@@ -22,22 +22,28 @@
 //! assert!(report.exec_ns > 0);
 //! ```
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::thread::{self, ScopedJoinHandle};
 
 use cashmere_obs::{ObsReport, ProcObs, SpanKind};
 use cashmere_sim::{Nanos, ProcClock, ProcId, TimeCategory};
 use cashmere_vmpage::PAGE_WORDS;
 
 use crate::config::ClusterConfig;
-use crate::det::{DetScheduler, SettleExec, WaitKey};
+use crate::det::{DetScheduler, GateEnd, Op, OpExec, OpState, Settle, WaitKey};
 use crate::engine::{Engine, ProcCtx};
 use crate::report::Report;
 use crate::sync::{BarrierArrival, CarrierBarrier, CarrierFlag, CarrierLock};
 use crate::trace::{ProtocolEvent, TraceEvent};
 use crate::Addr;
 
-/// Synchronization-object pools shared by all processors.
-struct SyncPools {
+/// The synchronization-object pools shared by all processors, and the
+/// engine their ops drive: the op bodies for both engines, and the det
+/// scheduler's [`OpExec`].
+struct SyncOps {
+    engine: Arc<Engine>,
     locks: Vec<CarrierLock>,
     barriers: Vec<CarrierBarrier>,
     flags: Vec<CarrierFlag>,
@@ -45,35 +51,31 @@ struct SyncPools {
 
 /// A simulated cluster, ready to allocate shared memory and run programs.
 pub struct Cluster {
-    engine: Arc<Engine>,
-    pools: Arc<SyncPools>,
+    ops: Arc<SyncOps>,
     next_word: usize,
 }
 
 impl Cluster {
     /// Builds a cluster for `cfg`.
     pub fn new(cfg: ClusterConfig) -> Self {
-        let pools = Arc::new(SyncPools {
+        let ops = Arc::new(SyncOps {
             locks: (0..cfg.locks).map(|_| CarrierLock::new()).collect(),
             barriers: (0..cfg.barriers).map(|_| CarrierBarrier::new()).collect(),
             flags: (0..cfg.flags).map(|_| CarrierFlag::new()).collect(),
-        });
-        Self {
             engine: Engine::new(cfg),
-            pools,
-            next_word: 0,
-        }
+        });
+        Self { ops, next_word: 0 }
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &ClusterConfig {
-        self.engine.config()
+        self.engine().config()
     }
 
     /// The protocol engine (exposed for tests that drive protocol
     /// operations deterministically).
     pub fn engine(&self) -> &Arc<Engine> {
-        &self.engine
+        &self.ops.engine
     }
 
     /// Allocates `words` contiguous 64-bit words of shared memory and
@@ -108,35 +110,38 @@ impl Cluster {
     /// models pre-parallel-phase initialization without perturbing the
     /// first-touch home heuristic.
     pub fn seed_u64(&self, addr: Addr, val: u64) {
-        self.engine.seed_word(addr, val);
+        self.engine().seed_word(addr, val);
     }
 
     /// Seeds an `f64` (stored via its bit pattern).
     pub fn seed_f64(&self, addr: Addr, val: f64) {
-        self.engine.seed_word(addr, val.to_bits());
+        self.engine().seed_word(addr, val.to_bits());
     }
 
     /// Reads back the authoritative post-run value at `addr`.
     pub fn read_u64(&self, addr: Addr) -> u64 {
-        self.engine.read_back(addr)
+        self.engine().read_back(addr)
     }
 
     /// Reads back a run of consecutive words (bulk [`Self::read_u64`]; one
     /// directory lookup per page instead of per word).
     pub fn read_back_run(&self, addr: Addr, out: &mut [u64]) {
-        self.engine.read_back_run(addr, out);
+        self.engine().read_back_run(addr, out);
     }
 
     /// Reads back an `f64`.
     pub fn read_f64(&self, addr: Addr) -> f64 {
-        f64::from_bits(self.engine.read_back(addr))
+        f64::from_bits(self.engine().read_back(addr))
     }
 
     /// Takes the protocol event trace accumulated so far (empty unless the
     /// cluster was built with [`ClusterConfig::audit`] set). Feed it to
     /// `cashmere_check::audit` to verify the run's coherence invariants.
     pub fn take_trace(&self) -> Vec<TraceEvent> {
-        self.engine.recorder().map(|r| r.take()).unwrap_or_default()
+        self.engine()
+            .recorder()
+            .map(|r| r.take())
+            .unwrap_or_default()
     }
 
     /// Runs `f` on every simulated processor (one OS thread each) and
@@ -163,22 +168,18 @@ impl Cluster {
         F: Fn(&mut Proc) + Sync,
     {
         let n = self.config().topology.total_procs();
-        let results: Vec<(ProcClock, Option<Box<ProcObs>>)> = std::thread::scope(|s| {
+        let results = thread::scope(|s| {
             let handles: Vec<_> = (0..n)
                 .map(|p| {
-                    let engine = Arc::clone(&self.engine);
-                    let pools = Arc::clone(&self.pools);
+                    let ops = Arc::clone(&self.ops);
                     s.spawn(move || {
-                        let mut proc = Proc::new(engine, pools, ProcId(p));
+                        let mut proc = Proc::new(ops, ProcId(p));
                         f(&mut proc);
                         proc.finish()
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("simulated processor panicked"))
-                .collect()
+            join_procs(handles, || None)
         });
         self.collect_report(&results)
     }
@@ -193,51 +194,89 @@ impl Cluster {
     {
         let n = self.config().topology.total_procs();
         let sched = Arc::new(DetScheduler::new(n, workers, self.config().det_quantum_ns));
-        sched.set_settle_exec(Arc::clone(&self.engine) as Arc<dyn SettleExec>);
-        let results: Vec<(ProcClock, Option<Box<ProcObs>>)> = std::thread::scope(|s| {
+        sched.set_exec(Arc::clone(&self.ops) as Arc<dyn OpExec>);
+        let results = thread::scope(|s| {
             let handles: Vec<_> = (0..n)
                 .map(|p| {
-                    let engine = Arc::clone(&self.engine);
-                    let pools = Arc::clone(&self.pools);
+                    let ops = Arc::clone(&self.ops);
                     let h = sched.handle(p);
                     s.spawn(move || {
-                        let mut proc = Proc::new(engine, pools, ProcId(p));
+                        let mut proc = Proc::new(ops, ProcId(p));
                         proc.ctx.set_det(h.clone());
-                        // Start barrier: no processor computes until every
-                        // context exists, so window 0 opens identically at
-                        // any worker count.
-                        h.start();
-                        f(&mut proc);
-                        let out = proc.finish();
-                        h.finish();
-                        out
+                        let body = catch_unwind(AssertUnwindSafe(|| {
+                            // Start barrier: no processor computes until
+                            // every context exists, so window 0 opens
+                            // identically at any worker count.
+                            h.start();
+                            f(&mut proc);
+                            proc.finish()
+                        }));
+                        match body {
+                            Ok(out) => {
+                                h.finish();
+                                out
+                            }
+                            Err(payload) => {
+                                // Wake every sleeping peer into the abort
+                                // instead of leaving it parked forever.
+                                h.abort();
+                                resume_unwind(payload)
+                            }
+                        }
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("simulated processor panicked"))
-                .collect()
+            join_procs(handles, || sched.failed())
         });
         self.collect_report(&results)
     }
 
     fn collect_report(&self, results: &[(ProcClock, Option<Box<ProcObs>>)]) -> Report {
         let clocks: Vec<ProcClock> = results.iter().map(|(c, _)| c.clone()).collect();
-        let mut report = Report::build(self.engine.config(), &self.engine.stats, &clocks)
-            .with_recovery(self.engine.recovery_summary());
+        let mut report = Report::build(self.engine().config(), &self.engine().stats, &clocks)
+            .with_recovery(self.engine().recovery_summary());
         if self.config().obs {
             let mut obs = ObsReport::new();
             for po in results.iter().filter_map(|(_, po)| po.as_deref()) {
                 obs.merge_proc(po);
             }
-            if let Some(lm) = self.engine.link_metrics() {
+            if let Some(lm) = self.engine().link_metrics() {
                 obs.links = lm.snapshot();
             }
             report = report.with_obs(obs);
         }
         report
     }
+}
+
+/// Joins every processor thread. A panic is re-raised as `simulated
+/// processor {p} panicked: {message}`, naming the processor `failed`
+/// reports (the one whose panic aborted a det run: its peers then panicked
+/// only because the run aborted), else the lowest-numbered one that
+/// panicked.
+fn join_procs<T>(
+    handles: Vec<ScopedJoinHandle<'_, T>>,
+    failed: impl FnOnce() -> Option<usize>,
+) -> Vec<T> {
+    let joined: Vec<thread::Result<T>> = handles.into_iter().map(|h| h.join()).collect();
+    let Some(first) = joined.iter().position(Result::is_err) else {
+        return joined.into_iter().flatten().collect();
+    };
+    let p = failed().filter(|&p| joined[p].is_err()).unwrap_or(first);
+    let message = joined[p]
+        .as_ref()
+        .err()
+        .map_or("", |e| panic_message(e.as_ref()));
+    panic!("simulated processor {p} panicked: {message}");
+}
+
+/// A panic payload's message (`panic!` makes a `&str` or a `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(a non-string panic payload)")
 }
 
 /// `CASHMERE_PROC_WORKERS` opt-in: a positive integer enables the
@@ -253,19 +292,22 @@ fn det_workers_from_env() -> Option<usize> {
 /// A simulated processor's handle: shared-memory accesses, synchronization,
 /// and compute-time accounting. One per processor, owned by its thread.
 pub struct Proc {
+    /// The same engine as `ops.engine`, one pointer closer to the
+    /// read/write fast path.
     engine: Arc<Engine>,
-    pools: Arc<SyncPools>,
+    ops: Arc<SyncOps>,
     ctx: ProcCtx,
     /// Reusable bit-pattern buffer for the `f64` run accessors.
     scratch: Vec<u64>,
 }
 
 impl Proc {
-    fn new(engine: Arc<Engine>, pools: Arc<SyncPools>, id: ProcId) -> Self {
+    fn new(ops: Arc<SyncOps>, id: ProcId) -> Self {
+        let engine = Arc::clone(&ops.engine);
         let ctx = engine.make_ctx(id);
         Self {
             engine,
-            pools,
+            ops,
             ctx,
             scratch: Vec::new(),
         }
@@ -352,10 +394,11 @@ impl Proc {
 
     // --- Synchronization ---------------------------------------------
 
-    /// Emits a synchronization event when auditing is enabled.
-    fn trace(&self, ev: impl FnOnce() -> ProtocolEvent) {
-        if let Some(r) = self.engine.recorder() {
-            r.emit(ev());
+    /// Runs `op`: through the deterministic scheduler when it is on
+    /// (DESIGN.md §15.2), else straight through on this thread.
+    fn sync(&mut self, op: Op) {
+        if !self.ctx.det_op(op) {
+            self.ops.run_free(&mut self.ctx, op);
         }
     }
 
@@ -364,57 +407,14 @@ impl Proc {
     pub fn lock(&mut self, l: usize) {
         self.ctx.obs_begin(SpanKind::Lock, l as i64);
         self.engine.stats.lock_acquires.inc();
-        let cost = self.lock_cost();
-        let vt = match self.ctx.det.clone() {
-            Some(d) => {
-                // Deterministic grant (DESIGN.md §15): the acquire is a
-                // gate; contenders park in the scheduler and are re-granted
-                // in (virtual time, processor id) order at each release.
-                d.gate_enter(self.ctx.clock.now());
-                loop {
-                    match self.pools.locks[l].try_acquire_for(self.ctx.clock.now(), cost) {
-                        Some(vt) => {
-                            d.gate_exit(self.ctx.clock.now());
-                            break vt;
-                        }
-                        None => d.gate_block(self.ctx.clock.now(), WaitKey::Lock(l)),
-                    }
-                }
-            }
-            None => self.pools.locks[l].acquire_for(self.ctx.clock.now(), cost),
-        };
-        self.ctx.clock.wait_until(vt);
-        // Consumer: emitted after the carrier grant, so it is sequenced
-        // after the previous holder's LockRelease.
-        self.trace(|| ProtocolEvent::LockAcquire {
-            proc: self.ctx.id.0,
-            pnode: self.ctx.pnode,
-            lock: l,
-        });
-        self.engine.acquire_actions(&mut self.ctx);
+        self.sync(Op::Lock { l });
         self.ctx.obs_end(SpanKind::Lock);
     }
 
     /// Performs the protocol's release consistency actions (§2.4.3), then
     /// releases application lock `l`.
     pub fn unlock(&mut self, l: usize) {
-        self.engine.release_actions(&mut self.ctx);
-        // Producer: emitted after the consistency actions but before the
-        // carrier hand-off, so the next holder's LockAcquire follows it.
-        self.trace(|| ProtocolEvent::LockRelease {
-            proc: self.ctx.id.0,
-            pnode: self.ctx.pnode,
-            lock: l,
-        });
-        match self.ctx.det.clone() {
-            Some(d) => {
-                d.gate_enter(self.ctx.clock.now());
-                self.pools.locks[l].release(self.ctx.clock.now());
-                d.unblock_all(WaitKey::Lock(l));
-                d.gate_exit(self.ctx.clock.now());
-            }
-            None => self.pools.locks[l].release(self.ctx.clock.now()),
-        }
+        self.sync(Op::Unlock { l });
     }
 
     /// Crosses application barrier `b` (all processors participate): a
@@ -422,124 +422,20 @@ impl Proc {
     /// departure (§2.3, §2.4).
     pub fn barrier(&mut self, b: usize) {
         self.ctx.obs_begin(SpanKind::Barrier, b as i64);
-        let t0 = self.ctx.clock.now();
-        self.engine.release_actions(&mut self.ctx);
-        let t1 = self.ctx.clock.now();
-        // Producer: arrival is the release half of the crossing; emit before
-        // the rendezvous so every departure is sequenced after it.
-        self.trace(|| ProtocolEvent::BarrierArrive {
-            proc: self.ctx.id.0,
-            pnode: self.ctx.pnode,
-            barrier: b,
-        });
-        let cost = self.barrier_cost();
-        let n = self.nprocs();
-        let crossing = match self.ctx.det.clone() {
-            Some(d) => {
-                // Deterministic rendezvous (DESIGN.md §15): arrivals are
-                // gates ordered by (virtual time, processor id); early
-                // arrivers park in the scheduler until the last arrival
-                // completes the episode and unblocks them.
-                d.gate_enter(self.ctx.clock.now());
-                match self.pools.barriers[b].arrive(n, self.ctx.clock.now(), cost) {
-                    BarrierArrival::Complete(c) => {
-                        d.unblock_all(WaitKey::Barrier(b));
-                        d.gate_exit(self.ctx.clock.now());
-                        c
-                    }
-                    BarrierArrival::Waiting(epoch) => loop {
-                        d.gate_block(self.ctx.clock.now(), WaitKey::Barrier(b));
-                        if let Some(c) = self.pools.barriers[b].poll(epoch) {
-                            d.gate_exit(self.ctx.clock.now());
-                            break c;
-                        }
-                    },
-                }
-            }
-            None => self.pools.barriers[b].wait(n, self.ctx.clock.now(), cost),
-        };
-        if crossing.was_last {
-            self.engine.stats.barriers.inc();
-        }
-        // Consumer: emitted after the rendezvous completes; `epoch` lets the
-        // auditor pair every departure with its episode's arrivals.
-        self.trace(|| ProtocolEvent::BarrierDepart {
-            proc: self.ctx.id.0,
-            pnode: self.ctx.pnode,
-            barrier: b,
-            epoch: crossing.epoch,
-        });
-        self.ctx.clock.wait_until(crossing.departure_vt);
-        let t2 = self.ctx.clock.now();
-        self.engine.acquire_actions(&mut self.ctx);
+        self.sync(Op::Barrier { b });
         self.ctx.obs_end(SpanKind::Barrier);
-        fn barrier_debug() -> bool {
-            static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-            *ON.get_or_init(|| std::env::var_os("CASHMERE_BARRIER_DEBUG").is_some())
-        }
-        if barrier_debug() {
-            eprintln!(
-                "BAR p{} b{} release={}us wait={}us acq={}us",
-                self.id(),
-                b,
-                (t1 - t0) / 1000,
-                (t2 - t1) / 1000,
-                (self.ctx.clock.now() - t2) / 1000
-            );
-        }
     }
 
     /// Sets application flag `fl` (release semantics).
     pub fn flag_set(&mut self, fl: usize) {
-        self.engine.release_actions(&mut self.ctx);
-        // Producer: emitted before the carrier set, so waiters' FlagWait
-        // events are sequenced after it.
-        self.trace(|| ProtocolEvent::FlagSet {
-            proc: self.ctx.id.0,
-            pnode: self.ctx.pnode,
-            flag: fl,
-        });
-        match self.ctx.det.clone() {
-            Some(d) => {
-                d.gate_enter(self.ctx.clock.now());
-                self.pools.flags[fl].set(self.ctx.clock.now());
-                d.unblock_all(WaitKey::Flag(fl));
-                d.gate_exit(self.ctx.clock.now());
-            }
-            None => self.pools.flags[fl].set(self.ctx.clock.now()),
-        }
+        self.sync(Op::FlagSet { fl });
     }
 
     /// Waits for application flag `fl` (acquire semantics).
     pub fn flag_wait(&mut self, fl: usize) {
         self.ctx.obs_begin(SpanKind::Flag, fl as i64);
         self.engine.stats.lock_acquires.inc();
-        let vt = match self.ctx.det.clone() {
-            Some(d) => {
-                d.gate_enter(self.ctx.clock.now());
-                loop {
-                    match self.pools.flags[fl].try_wait(self.ctx.clock.now()) {
-                        Some(vt) => {
-                            d.gate_exit(self.ctx.clock.now());
-                            break vt;
-                        }
-                        None => d.gate_block(self.ctx.clock.now(), WaitKey::Flag(fl)),
-                    }
-                }
-            }
-            None => self.pools.flags[fl].wait(self.ctx.clock.now()),
-        };
-        // Consumer: emitted after the wait observed the set.
-        self.trace(|| ProtocolEvent::FlagWait {
-            proc: self.ctx.id.0,
-            pnode: self.ctx.pnode,
-            flag: fl,
-        });
-        self.ctx.clock.wait_until(vt);
-        self.ctx
-            .clock
-            .charge(TimeCategory::CommWait, self.lock_cost());
-        self.engine.acquire_actions(&mut self.ctx);
+        self.sync(Op::FlagWait { fl });
         self.ctx.obs_end(SpanKind::Flag);
     }
 
@@ -551,7 +447,7 @@ impl Proc {
     /// program would; a zero-cost spin never reaches the horizon.)
     pub fn flag_is_set(&self, fl: usize) -> bool {
         self.ctx.det_checkpoint();
-        self.pools.flags[fl].is_set()
+        self.ops.flags[fl].is_set()
     }
 
     // --- Accounting knobs ---------------------------------------------
@@ -579,12 +475,175 @@ impl Proc {
         self.ctx.bus_bytes = b;
     }
 
-    fn lock_cost(&self) -> Nanos {
-        let c = &self.engine.config().cost;
-        if self.engine.config().protocol.is_two_level() {
-            c.lock_two_level
-        } else {
-            c.lock_one_level
+    /// Final release + accounting settlement; returns the processor's
+    /// clock and (when observability is on) its finished observability
+    /// state. Called automatically at the end of [`Cluster::run`].
+    fn finish(mut self) -> (ProcClock, Option<Box<ProcObs>>) {
+        self.engine.release_actions(&mut self.ctx);
+        self.engine.settle(&mut self.ctx);
+        if let Some(o) = &mut self.ctx.obs {
+            o.finish(&self.ctx.clock);
+        }
+        (self.ctx.clock.clone(), self.ctx.obs.take())
+    }
+}
+
+impl SyncOps {
+    /// Runs `op` straight through on the calling thread (the sequential
+    /// engine): the same gates and glue the det scheduler runs in place,
+    /// with carriers that block in host time instead of returning
+    /// [`GateEnd::Blocked`].
+    fn run_free(&self, ctx: &mut ProcCtx, op: Op) {
+        let mut st = OpState::new(op);
+        loop {
+            self.gate(ctx, &mut st, true);
+            st.gate += 1;
+            if st.gate == op.gates() {
+                return;
+            }
+            self.glue(ctx, &mut st);
+        }
+    }
+
+    /// Gate `st.gate` of `st.op`. `blocking` waits on an unavailable
+    /// carrier in host time; otherwise the gate returns
+    /// [`GateEnd::Blocked`] and is retried once a peer re-arms it.
+    fn gate(&self, ctx: &mut ProcCtx, st: &mut OpState, blocking: bool) -> GateEnd {
+        let e = &self.engine;
+        let now = ctx.clock.now();
+        match (st.op, st.gate) {
+            (Op::Fault { page, word, write }, _) => e.fault_common_inner(ctx, page, word, write),
+            (Op::Release, _) | (Op::Unlock { .. } | Op::Barrier { .. } | Op::FlagSet { .. }, 0) => {
+                e.release_actions_inner(ctx);
+            }
+            (Op::Acquire, _)
+            | (Op::Lock { .. } | Op::FlagWait { .. }, 1)
+            | (Op::Barrier { .. }, 2) => e.acquire_actions_inner(ctx),
+            (Op::Lock { l }, _) => {
+                let lock = &self.locks[l];
+                let cost = e.lock_cost();
+                st.vt = if blocking {
+                    lock.acquire_for(now, cost)
+                } else {
+                    match lock.try_acquire_for(now, cost) {
+                        Some(vt) => vt,
+                        None => return GateEnd::Blocked(WaitKey::Lock(l)),
+                    }
+                };
+            }
+            (Op::Unlock { l }, _) => {
+                self.locks[l].release(now);
+                return GateEnd::Done(Some(WaitKey::Lock(l)));
+            }
+            (Op::Barrier { b }, _) => {
+                let barrier = &self.barriers[b];
+                let n = e.config().topology.total_procs();
+                let crossing = if blocking {
+                    barrier.wait(n, now, self.barrier_cost())
+                } else {
+                    // A re-try polls the episode its arrival joined.
+                    let polled = match st.epoch {
+                        Some(epoch) => barrier.poll(epoch),
+                        None => match barrier.arrive(n, now, self.barrier_cost()) {
+                            BarrierArrival::Complete(c) => Some(c),
+                            BarrierArrival::Waiting(epoch) => {
+                                st.epoch = Some(epoch);
+                                None
+                            }
+                        },
+                    };
+                    match polled {
+                        Some(c) => c,
+                        None => return GateEnd::Blocked(WaitKey::Barrier(b)),
+                    }
+                };
+                st.vt = crossing.departure_vt;
+                st.epoch = Some(crossing.epoch);
+                st.last = crossing.was_last;
+                if crossing.was_last {
+                    return GateEnd::Done(Some(WaitKey::Barrier(b)));
+                }
+            }
+            (Op::FlagSet { fl }, _) => {
+                self.flags[fl].set(now);
+                return GateEnd::Done(Some(WaitKey::Flag(fl)));
+            }
+            (Op::FlagWait { fl }, _) => {
+                let flag = &self.flags[fl];
+                st.vt = if blocking {
+                    flag.wait(now)
+                } else {
+                    match flag.try_wait(now) {
+                        Some(vt) => vt,
+                        None => return GateEnd::Blocked(WaitKey::Flag(fl)),
+                    }
+                };
+            }
+        }
+        GateEnd::Done(None)
+    }
+
+    /// The glue before gate `st.gate` of `st.op`: the local steps between
+    /// two gates — clock waits, cost charges, audit events, counters.
+    fn glue(&self, ctx: &mut ProcCtx, st: &mut OpState) {
+        let e = &self.engine;
+        let (proc, pnode) = (ctx.id.0, ctx.pnode);
+        // Audit events: a consumer's after the carrier gate it waited on, a
+        // producer's before the carrier gate that hands off, so each
+        // hand-off's producer event precedes its consumers'.
+        let trace = |ev: ProtocolEvent| {
+            if let Some(r) = e.recorder() {
+                r.emit(ev);
+            }
+        };
+        match (st.op, st.gate) {
+            (Op::Lock { l }, 1) => {
+                ctx.clock.wait_until(st.vt);
+                trace(ProtocolEvent::LockAcquire {
+                    proc,
+                    pnode,
+                    lock: l,
+                });
+            }
+            (Op::Unlock { l }, 1) => trace(ProtocolEvent::LockRelease {
+                proc,
+                pnode,
+                lock: l,
+            }),
+            (Op::Barrier { b }, 1) => trace(ProtocolEvent::BarrierArrive {
+                proc,
+                pnode,
+                barrier: b,
+            }),
+            (Op::Barrier { b }, 2) => {
+                if st.last {
+                    e.stats.barriers.inc();
+                }
+                // `epoch` lets the auditor pair every departure with its
+                // episode's arrivals.
+                trace(ProtocolEvent::BarrierDepart {
+                    proc,
+                    pnode,
+                    barrier: b,
+                    epoch: st.epoch.expect("a crossed barrier knows its episode"),
+                });
+                ctx.clock.wait_until(st.vt);
+            }
+            (Op::FlagSet { fl }, 1) => trace(ProtocolEvent::FlagSet {
+                proc,
+                pnode,
+                flag: fl,
+            }),
+            (Op::FlagWait { fl }, 1) => {
+                trace(ProtocolEvent::FlagWait {
+                    proc,
+                    pnode,
+                    flag: fl,
+                });
+                ctx.clock.wait_until(st.vt);
+                ctx.clock.charge(TimeCategory::CommWait, e.lock_cost());
+            }
+            (op, gate) => unreachable!("{op:?} has no glue before gate {gate}"),
         }
     }
 
@@ -596,16 +655,20 @@ impl Proc {
             cfg.cost.barrier_one_level(cfg.topology.total_procs())
         }
     }
+}
 
-    /// Final release + accounting settlement; returns the processor's
-    /// clock and (when observability is on) its finished observability
-    /// state. Called automatically at the end of [`Cluster::run`].
-    fn finish(mut self) -> (ProcClock, Option<Box<ProcObs>>) {
-        self.engine.release_actions(&mut self.ctx);
-        self.engine.settle(&mut self.ctx);
-        if let Some(o) = &mut self.ctx.obs {
-            o.finish(&self.ctx.clock);
-        }
-        (self.ctx.clock.clone(), self.ctx.obs.take())
+/// The det scheduler runs the same bodies in place (DESIGN.md §15.2), with
+/// non-blocking carriers.
+impl OpExec for SyncOps {
+    fn run_gate(&self, ctx: &mut ProcCtx, op: &mut OpState) -> GateEnd {
+        self.gate(ctx, op, false)
+    }
+
+    fn run_glue(&self, ctx: &mut ProcCtx, op: &mut OpState) {
+        self.glue(ctx, op);
+    }
+
+    fn run_settle(&self, req: Settle, vt: Nanos) -> Nanos {
+        self.engine.run_settle(req, vt)
     }
 }

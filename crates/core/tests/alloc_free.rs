@@ -2,7 +2,7 @@
 //! allocations — with observability off AND on. A counting global
 //! allocator wraps the system one; after warming the faults out of a
 //! working set, a burst of reads and writes must not allocate at all. The
-//! same holds for the deterministic scheduler's windows, gates and
+//! same holds for the deterministic scheduler's windows, in-place ops and
 //! delegated settles, on every processor thread of a det run.
 //!
 //! The workspace denies `unsafe code`; this test is the one sanctioned
@@ -14,10 +14,11 @@ use std::cell::Cell;
 
 use std::sync::Arc;
 
-use cashmere_core::det::{DetScheduler, Settle, SettleExec};
+use cashmere_core::det::{DetScheduler, GateEnd, Op, OpExec, OpState, Settle, WaitKey};
+use cashmere_core::engine::ProcCtx;
 use cashmere_core::{Cluster, ClusterConfig, Proc, ProtocolKind, SyncSpec, Topology};
-use cashmere_sim::Nanos;
 use cashmere_sim::ProcId;
+use cashmere_sim::{Nanos, TimeCategory};
 use parking_lot::Mutex;
 
 struct CountingAlloc;
@@ -92,46 +93,110 @@ fn hot_path_is_allocation_free_with_obs_on() {
     assert_hot_path_allocation_free(true);
 }
 
-#[test]
-fn det_scheduler_windows_gates_and_settles_are_allocation_free() {
-    // 8 procs on 2 workers through the bare scheduler: every step crosses
-    // a 1 µs window, then runs a gate and a delegated settle. Each thread
-    // counts only its own allocations; the coordinator runs on whichever
-    // processor thread parks last, so a zero on every thread covers the
-    // coordinator's window building, grants and settles too.
-    struct Exec;
-    impl SettleExec for Exec {
-        fn run_settle(&self, _: Settle, vt: Nanos) -> Nanos {
-            vt + 40
+/// A toy executor for the bare scheduler: one lock and one barrier over
+/// `PROCS` procs (plain flags and counters, so nothing in it allocates), a
+/// fault that charges its proc's clock, and settles that resume 40 ns later.
+struct Exec {
+    procs: usize,
+    held: Mutex<bool>,
+    /// Barrier `(arrivals so far, episode)`.
+    barrier: Mutex<(usize, u64)>,
+}
+
+impl OpExec for Exec {
+    fn run_gate(&self, ctx: &mut ProcCtx, op: &mut OpState) -> GateEnd {
+        match (op.op, op.gate) {
+            (Op::Lock { l }, 0) => {
+                let mut held = self.held.lock();
+                if *held {
+                    return GateEnd::Blocked(WaitKey::Lock(l));
+                }
+                *held = true;
+            }
+            (Op::Unlock { l }, 1) => {
+                *self.held.lock() = false;
+                return GateEnd::Done(Some(WaitKey::Lock(l)));
+            }
+            (Op::Barrier { b }, 1) => {
+                let mut bar = self.barrier.lock();
+                match op.epoch {
+                    Some(epoch) if epoch == bar.1 => return GateEnd::Blocked(WaitKey::Barrier(b)),
+                    Some(_) => {}
+                    None => {
+                        bar.0 += 1;
+                        if bar.0 < self.procs {
+                            op.epoch = Some(bar.1);
+                            return GateEnd::Blocked(WaitKey::Barrier(b));
+                        }
+                        *bar = (0, bar.1 + 1);
+                        return GateEnd::Done(Some(WaitKey::Barrier(b)));
+                    }
+                }
+            }
+            _ => ctx.clock.charge(TimeCategory::Protocol, 10),
         }
+        GateEnd::Done(None)
     }
+
+    fn run_glue(&self, ctx: &mut ProcCtx, _: &mut OpState) {
+        ctx.clock.charge(TimeCategory::User, 1);
+    }
+
+    fn run_settle(&self, _: Settle, vt: Nanos) -> Nanos {
+        vt + 40
+    }
+}
+
+#[test]
+fn det_scheduler_windows_ops_and_settles_are_allocation_free() {
+    // 8 procs on 2 workers through the bare scheduler: every step crosses
+    // a 1 µs window, then runs an in-place fault, a contended lock and
+    // unlock, a barrier and a delegated settle. Each thread counts only its
+    // own allocations; the coordinator runs on whichever processor thread
+    // parks last, so a zero on every thread covers the coordinator's window
+    // building, in-place gates and glue, context lending and settles too.
     const PROCS: usize = 8;
     let sched = Arc::new(DetScheduler::new(PROCS, 2, 1_000));
-    sched.set_settle_exec(Arc::new(Exec));
+    sched.set_exec(Arc::new(Exec {
+        procs: PROCS,
+        held: Mutex::new(false),
+        barrier: Mutex::new((0, 0)),
+    }));
+    let cluster = Cluster::new(
+        ClusterConfig::new(Topology::new(1, PROCS), ProtocolKind::TwoLevel).with_heap_pages(1),
+    );
+    let ctxs: Vec<ProcCtx> = (0..PROCS)
+        .map(|p| cluster.engine().make_ctx(ProcId(p)))
+        .collect();
     let deltas = Mutex::new(Vec::with_capacity(PROCS));
     std::thread::scope(|s| {
-        for p in 0..PROCS {
+        for (p, mut ctx) in ctxs.into_iter().enumerate() {
             let h = sched.handle(p);
             let deltas = &deltas;
             s.spawn(move || {
                 h.start();
-                let mut vt = p as Nanos;
                 let mut before = 0;
                 for step in 0..600 {
                     if step == 100 {
                         before = allocs();
                     }
-                    vt += 1_000;
-                    h.checkpoint(vt);
-                    h.gate_enter(vt);
-                    h.gate_exit(vt + 10);
-                    vt = h.settle(
-                        vt + 10,
-                        Settle::Bus {
-                            phys: 0,
-                            busy_ns: 40,
-                        },
-                    );
+                    ctx.clock.charge(TimeCategory::User, 1_000);
+                    h.checkpoint(ctx.clock.now());
+                    let fault = Op::Fault {
+                        page: 0,
+                        word: p,
+                        write: true,
+                    };
+                    for op in [fault, Op::Lock { l: 0 }, Op::Unlock { l: 0 }] {
+                        h.run_op(&mut ctx, op);
+                    }
+                    h.run_op(&mut ctx, Op::Barrier { b: 0 });
+                    let req = Settle::Bus {
+                        phys: 0,
+                        busy_ns: 40,
+                    };
+                    let done = h.settle(ctx.clock.now(), req);
+                    ctx.clock.wait_until(done);
                 }
                 let delta = allocs() - before;
                 deltas.lock().push((p, delta));
